@@ -278,6 +278,17 @@ inline constexpr double kLogC2 = 0.693359375;
 
 #if defined(RESIPE_SIMD_AVX512)
 
+// GCC 12's AVX-512 intrinsic headers seed the reduce/permute helpers
+// with _mm512_undefined_pd(), which its middle end then reports as
+// (maybe-)uninitialized wherever these wrappers inline.  The values are
+// never read before being written; silence the false positive for this
+// backend only.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
 template <>
 struct simd<double, 8> {
   __m512d v;
@@ -454,6 +465,10 @@ inline simd<double, 8> log(simd<double, 8> x) {
 
 inline constexpr std::size_t native_lanes = 8;
 inline constexpr const char* kCompiledIsa = "avx512";
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 // --- AVX2 + FMA backend ------------------------------------------------
 

@@ -151,7 +151,9 @@ class ProgrammedMatrix {
   double time_scale() const { return alpha_; }
 
   /// Circuit-model forward: y = W^T x + b for one input vector.
-  /// x must be non-negative (spike times cannot encode sign).
+  /// x must be non-negative (spike times cannot encode sign); negative
+  /// and over-range entries clamp, non-finite ones throw resipe::Error.
+  /// Runs as forward_batch with n = 1 on a thread-local workspace.
   void forward(std::span<const double> x, std::span<double> y) const;
 
   /// Numerical-health counters accumulated by forward_probed.  All
@@ -178,10 +180,10 @@ class ProgrammedMatrix {
     void merge(const ProbeStats& other);
   };
 
-  /// forward() plus probes: y is bit-identical to forward(x, y) — same
-  /// encode, same block order, same recovery arithmetic — and `stats`
-  /// accumulates across calls.  Not part of the hot path: the regular
-  /// forward entry points never consult the introspection options.
+  /// forward() plus probes: the same call with a probe sink, so y is
+  /// bit-identical to forward(x, y) with events on or off, and `stats`
+  /// accumulates across calls.  The regular forward entry points never
+  /// consult the introspection options.
   void forward_probed(std::span<const double> x, std::span<double> y,
                       ProbeStats& stats) const;
 
@@ -198,16 +200,17 @@ class ProgrammedMatrix {
   };
 
   /// Batched forward: x is row-major [n, in], y row-major [n, out].
-  /// Bit-identical per sample to n forward() calls — same encode,
-  /// same block order, same recovery arithmetic — but each block runs
-  /// once over the whole batch through FastMvm::mvm_times_batch and
-  /// all scratch lives in `ws`.
+  /// Bit-identical per sample to n forward() calls.  With events off
+  /// each block runs once over the whole batch through
+  /// FastMvm::mvm_times_batch; with events on each sample runs through
+  /// the event executor.  All scratch lives in `ws`.
   void forward_batch(std::span<const double> x, std::size_t n,
                      std::span<double> y, BatchWorkspace& ws) const;
 
   /// Analytic voltage-domain forward (no time quantization, no slice
   /// clamping) — the noise-free reference used by calibration; also
-  /// returns the largest COG voltage observed.
+  /// returns the largest COG voltage observed.  Same input scaling as
+  /// forward(), so non-finite entries throw here too.
   double forward_analytic(std::span<const double> x,
                           std::span<double> y) const;
 
@@ -247,27 +250,28 @@ class ProgrammedMatrix {
     /// Physical slot of each data column (empty = identity).
     std::vector<std::size_t> slot_of_col;
     std::unique_ptr<FastMvm> mvm;
-    /// Baked recovery contribution of this block when its row group is
-    /// silent (length cols).  idle_times() output is input-independent,
-    /// so the per-column constants are computed once at programming and
-    /// let accumulate_events resolve a sleeping block with one add per
-    /// column — bit-identical to running the full recovery arithmetic.
-    std::vector<double> idle_recovery;
   };
 
-  void encode_input(std::span<const double> x, std::span<double> t) const;
-  /// Runs every block and accumulates recovered current-sums
-  /// (sum_i V_i G_ij) per physical column.
-  void accumulate(std::span<const double> t_in,
-                  std::span<double> recovered) const;
-  /// Event-driven accumulate: same block order and same per-column
-  /// recovery arithmetic, but each block runs through the event
-  /// executor (sleeping when no input event falls in its row window).
-  /// Bit-identical to accumulate() on the same times.
-  void accumulate_events(std::span<const double> t_in,
-                         std::span<double> recovered,
-                         events::EventQueue& queue,
-                         events::EventExecutor& exec) const;
+  /// Writes alpha * clamp(x / input_scale, 0, 1) for one input vector
+  /// into `scaled` and returns how many entries the clamp engaged on.
+  /// Throws resipe::Error on a non-finite entry.
+  std::uint64_t scale_input(std::span<const double> x,
+                            std::span<double> scaled) const;
+  /// Encodes n input vectors (row-major [n, in]) into spike times t;
+  /// adds the clamp count to `*clamped` when it is non-null.
+  void encode(std::span<const double> x, std::size_t n, std::span<double> t,
+              std::uint64_t* clamped) const;
+  /// Adds one block's recovered current-sums (sum_i V_i G_ij) for one
+  /// vector: t_out holds the block's output spike times per physical
+  /// slot, `recovered` the vector's physical-column accumulators.
+  /// Books every data column into `probe` when it is non-null.
+  void recover(const Block& block, const double* t_out, double* recovered,
+               ProbeStats* probe) const;
+  /// The one matrix forward behind forward, forward_probed and
+  /// forward_batch: encode, every block in order (dense over the batch,
+  /// or event-driven per vector), recover, decode.
+  void run(std::span<const double> x, std::size_t n, std::span<double> y,
+           BatchWorkspace& ws, ProbeStats* probe) const;
   /// Converts accumulated recovered sums + bias into outputs.
   void decode(std::span<const double> recovered, std::span<double> y) const;
 
@@ -276,10 +280,6 @@ class ProgrammedMatrix {
   /// detects + remaps + compensates per the mitigation policy, and
   /// programs through the bounded write-verify loop.
   void program_blocks_with_faults(Rng& rng);
-
-  /// Bakes each block's Block::idle_recovery constants (runs once at
-  /// the end of both programming paths).
-  void finalize_idle_recovery();
 
   EngineConfig config_;
   SpikeCodec codec_;
@@ -379,6 +379,12 @@ class ResipeNetwork {
     std::size_t cin = 0, cout = 0, k = 0, stride = 0, pad = 0;
   };
 
+  /// The one step loop behind forward, forward_observed and
+  /// forward_hybrid.  Steps flagged in `digital` (when non-null) run
+  /// through their software layer; `obs` (when non-null) sees every
+  /// step boundary.
+  nn::Tensor run_steps(const nn::Tensor& batch, LayerObserver* obs,
+                       const std::vector<bool>* digital) const;
   nn::Tensor run_dense(const Step& step, const nn::Tensor& x) const;
   nn::Tensor run_conv(const Step& step, const nn::Tensor& x) const;
 

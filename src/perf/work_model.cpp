@@ -76,11 +76,6 @@ WorkCost event_idle_cost(std::size_t cols) {
   return {10.0 * c, 8.0 * (3.0 * c + c)};
 }
 
-WorkCost event_idle_resolve_cost(std::size_t cols) {
-  const double c = static_cast<double>(cols);
-  return {c, 8.0 * 3.0 * c};
-}
-
 WorkCost ir_drop_solve_cost(std::size_t rows, std::size_t cols) {
   const double r = static_cast<double>(rows);
   const double c = static_cast<double>(cols);

@@ -6,7 +6,6 @@
 
 #include "resipe/common/error.hpp"
 #include "resipe/common/parallel.hpp"
-#include "resipe/perf/work_model.hpp"
 #include "resipe/reliability/fault_mapper.hpp"
 #include "resipe/telemetry/telemetry.hpp"
 
@@ -77,7 +76,6 @@ ProgrammedMatrix::ProgrammedMatrix(const EngineConfig& config,
   output_ok_.assign(out_, true);
   if (config_.reliability.enabled) {
     program_blocks_with_faults(rng);
-    finalize_idle_recovery();
     return;
   }
 
@@ -127,34 +125,6 @@ ProgrammedMatrix::ProgrammedMatrix(const EngineConfig& config,
         block.mvm->set_column_offsets(std::move(offsets));
       }
       blocks_.push_back(std::move(block));
-    }
-  }
-  finalize_idle_recovery();
-}
-
-void ProgrammedMatrix::finalize_idle_recovery() {
-  // A sleeping group's block output is input-independent, so its
-  // recovery contribution is a per-column constant.  Bake it with the
-  // exact operation sequence accumulate() applies — idle comparator
-  // outcome, slice-boundary substitution, ramp sample, conductance
-  // normalization — so adding the constant reproduces the dense bits.
-  const auto& params = config_.circuit;
-  std::vector<double> t_idle;
-  for (Block& block : blocks_) {
-    t_idle.assign(block.slots, 0.0);
-    block.mvm->idle_times(t_idle);
-    block.idle_recovery.assign(block.cols, 0.0);
-    const bool remapped = !block.slot_of_col.empty();
-    for (std::size_t c = 0; c < block.cols; ++c) {
-      const std::size_t s = remapped ? block.slot_of_col[c] : c;
-      double t = t_idle[s];
-      if (t == FastMvm::kNoSpike) t = params.slice_length;
-      const double v_cog = params.ramp_voltage(t);
-      const double k = block.mvm->k(s);
-      const double g_total = block.mvm->g_total(s);
-      if (k > 0.0) {
-        block.idle_recovery[c] = v_cog * g_total / k;
-      }
     }
   }
 }
@@ -402,97 +372,95 @@ void ProgrammedMatrix::set_time_scale(double alpha) {
   alpha_ = alpha;
 }
 
-void ProgrammedMatrix::encode_input(std::span<const double> x,
-                                    std::span<double> t) const {
-  // Normalize into the codec's [0, 1] domain, then batch-encode so the
+std::uint64_t ProgrammedMatrix::scale_input(std::span<const double> x,
+                                            std::span<double> scaled) const {
+  // Normalize into the codec's [0, 1] domain, scaled by alpha.  Both
+  // counters are branch-free integer sums (no short-circuit `||`) so
+  // the loop still vectorizes like the bare clamp.
+  std::uint64_t non_finite = 0;
+  std::uint64_t clamped = 0;
+  for (std::size_t i = 0; i < in_; ++i) {
+    non_finite += !std::isfinite(x[i]);
+    const double ratio = x[i] / input_scale_;
+    clamped += (ratio < 0.0) | (ratio > 1.0);
+    scaled[i] = alpha_ * std::clamp(ratio, 0.0, 1.0);
+  }
+  // std::clamp passes NaN through, and the codec would read it as
+  // "no spike": reject non-finite activations where they enter.
+  RESIPE_REQUIRE(non_finite == 0, "programmed-matrix input must be finite");
+  return clamped;
+}
+
+void ProgrammedMatrix::encode(std::span<const double> x, std::size_t n,
+                              std::span<double> t,
+                              std::uint64_t* clamped) const {
+  // Scale one vector at a time, then batch-encode it so the
   // ramp-inversion chain runs through the SIMD codec kernel.
   thread_local std::vector<double> scaled;
   scaled.resize(in_);
-  for (std::size_t i = 0; i < in_; ++i) {
-    const double xn = std::clamp(x[i] / input_scale_, 0.0, 1.0);
-    scaled[i] = alpha_ * xn;
+  std::uint64_t engaged = 0;
+  for (std::size_t s = 0; s < n; ++s) {
+    engaged += scale_input(x.subspan(s * in_, in_), scaled);
+    codec_.encode_times(scaled, t.subspan(s * in_, in_));
   }
-  codec_.encode_times(scaled, t.first(in_));
+  if (clamped != nullptr) *clamped += engaged;
 }
 
-void ProgrammedMatrix::accumulate(std::span<const double> t_in,
-                                  std::span<double> recovered) const {
-  RESIPE_TELEM_COUNT("resipe_core.matrix.block_mvms", blocks_.size());
-  std::fill(recovered.begin(), recovered.end(), 0.0);
-  const auto& params = config_.circuit;
-  thread_local std::vector<double> t_block_out;
-  for (const Block& block : blocks_) {
-    t_block_out.assign(block.slots, 0.0);
-    const std::span<const double> t_rows(t_in.data() + block.row0,
-                                         block.rows);
-    block.mvm->mvm_times(t_rows, t_block_out);
-    const bool remapped = !block.slot_of_col.empty();
-    for (std::size_t c = 0; c < block.cols; ++c) {
-      // Fault-aware placement may have moved this data column onto a
-      // spare slot; read the bitline it actually lives on.
-      const std::size_t s = remapped ? block.slot_of_col[c] : c;
-      double t = t_block_out[s];
-      // A silent output line encodes "beyond full scale": the readout
-      // books the slice-boundary value.
-      if (t == FastMvm::kNoSpike) t = params.slice_length;
-      const double v_cog = params.ramp_voltage(t);
-      const double k = block.mvm->k(s);
-      const double g_total = block.mvm->g_total(s);
-      if (k > 0.0) {
-        recovered[block.col0 + c] += v_cog * g_total / k;
-      }
-    }
+namespace {
+
+/// Books one column's output spike time into the health probes.
+void probe_column(ProgrammedMatrix::ProbeStats& stats, double t,
+                  const circuits::CircuitParams& params) {
+  // Saturation taxonomy: a silent column (kNoSpike) means the
+  // current-sum never pulled the COG across the ramp — the readout
+  // books the slice boundary and the true value is censored from
+  // above; a spike inside the first clock period means the column is
+  // pinned at the slice start (at/over full scale, censored from
+  // below); a spike in the last clock period is one LSB away from
+  // falling silent.
+  if (t == FastMvm::kNoSpike) {
+    ++stats.no_spike;
+    return;
   }
+  ++stats.spikes;
+  if (t <= params.clock_period) ++stats.pinned_start;
+  if (t >= params.slice_length - params.clock_period) ++stats.pinned_end;
+  const std::size_t bins = stats.spike_time_hist.size();
+  const double norm = t / params.slice_length;
+  const auto bin = std::min(
+      bins - 1, static_cast<std::size_t>(
+                    std::max(0.0, norm * static_cast<double>(bins))));
+  ++stats.spike_time_hist[bin];
 }
 
-void ProgrammedMatrix::accumulate_events(std::span<const double> t_in,
-                                         std::span<double> recovered,
-                                         events::EventQueue& queue,
-                                         events::EventExecutor& exec) const {
-  RESIPE_TELEM_COUNT("resipe_core.matrix.block_mvms", blocks_.size());
-  std::fill(recovered.begin(), recovered.end(), 0.0);
+/// Scratch for the single-vector entry points, one per thread.
+ProgrammedMatrix::BatchWorkspace& local_workspace() {
+  thread_local ProgrammedMatrix::BatchWorkspace ws;
+  return ws;
+}
+
+}  // namespace
+
+void ProgrammedMatrix::recover(const Block& block, const double* t_out,
+                               double* recovered, ProbeStats* probe) const {
   const auto& params = config_.circuit;
-  queue.build(t_in, params.slice_length);
-  events::ExecStats stats;
-  thread_local std::vector<double> t_block_out;
-  for (const Block& block : blocks_) {
-    if (queue.rows_in_range(block.row0, block.rows).empty()) {
-      // Sleeping group: the baked constants replace the comparator
-      // recovery and ramp evaluation (bit-identical by construction).
-      RESIPE_PERF_WORK("resipe_core.events.idle_resolve",
-                       perf::event_idle_resolve_cost(block.cols));
-      ++stats.groups_skipped;
-      stats.rows_skipped += block.rows;
-      for (std::size_t c = 0; c < block.cols; ++c) {
-        recovered[block.col0 + c] += block.idle_recovery[c];
-      }
-      continue;
-    }
-    t_block_out.assign(block.slots, 0.0);
-    const std::span<const double> t_rows(t_in.data() + block.row0,
-                                         block.rows);
-    exec.run_group(*block.mvm, queue, block.row0, t_rows, t_block_out,
-                   stats);
-    // Recovery arithmetic identical to accumulate(), applied to
-    // bit-identical block outputs.
-    const bool remapped = !block.slot_of_col.empty();
-    for (std::size_t c = 0; c < block.cols; ++c) {
-      const std::size_t s = remapped ? block.slot_of_col[c] : c;
-      double t = t_block_out[s];
-      if (t == FastMvm::kNoSpike) t = params.slice_length;
-      const double v_cog = params.ramp_voltage(t);
-      const double k = block.mvm->k(s);
-      const double g_total = block.mvm->g_total(s);
-      if (k > 0.0) {
-        recovered[block.col0 + c] += v_cog * g_total / k;
-      }
+  const bool remapped = !block.slot_of_col.empty();
+  for (std::size_t c = 0; c < block.cols; ++c) {
+    // Fault-aware placement may have moved this data column onto a
+    // spare slot; read the bitline it actually lives on.
+    const std::size_t s = remapped ? block.slot_of_col[c] : c;
+    double t = t_out[s];
+    if (probe != nullptr) probe_column(*probe, t, params);
+    // A silent output line encodes "beyond full scale": the readout
+    // books the slice-boundary value.
+    if (t == FastMvm::kNoSpike) t = params.slice_length;
+    const double v_cog = params.ramp_voltage(t);
+    const double k = block.mvm->k(s);
+    const double g_total = block.mvm->g_total(s);
+    if (k > 0.0) {
+      recovered[block.col0 + c] += v_cog * g_total / k;
     }
   }
-  RESIPE_TELEM_COUNT("resipe_core.events.delivered", stats.events_delivered);
-  RESIPE_TELEM_COUNT("resipe_core.events.groups_woken", stats.groups_woken);
-  RESIPE_TELEM_COUNT("resipe_core.events.groups_skipped",
-                     stats.groups_skipped);
-  RESIPE_TELEM_COUNT("resipe_core.events.rows_skipped", stats.rows_skipped);
 }
 
 void ProgrammedMatrix::decode(std::span<const double> recovered,
@@ -511,22 +479,7 @@ void ProgrammedMatrix::decode(std::span<const double> recovered,
 
 void ProgrammedMatrix::forward(std::span<const double> x,
                                std::span<double> y) const {
-  RESIPE_TELEM_SCOPE("resipe_core.matrix.forward");
-  RESIPE_REQUIRE(x.size() == in_ && y.size() == out_,
-                 "forward vector size mismatch");
-  thread_local std::vector<double> t_in;
-  thread_local std::vector<double> recovered;
-  t_in.resize(in_);
-  encode_input(x, t_in);
-  recovered.assign(mapping_.cols, 0.0);
-  if (config_.events.enabled) {
-    thread_local events::EventQueue queue;
-    thread_local events::EventExecutor exec;
-    accumulate_events(t_in, recovered, queue, exec);
-  } else {
-    accumulate(t_in, recovered);
-  }
-  decode(recovered, y);
+  run(x, 1, y, local_workspace(), nullptr);
 }
 
 void ProgrammedMatrix::ProbeStats::merge(const ProbeStats& other) {
@@ -546,141 +499,76 @@ void ProgrammedMatrix::ProbeStats::merge(const ProbeStats& other) {
 void ProgrammedMatrix::forward_probed(std::span<const double> x,
                                       std::span<double> y,
                                       ProbeStats& stats) const {
-  RESIPE_REQUIRE(x.size() == in_ && y.size() == out_,
-                 "forward vector size mismatch");
-  const auto& params = config_.circuit;
-  // Encode exactly as encode_input() does, counting clamp engagements
-  // on the side.  `xn` is clamped with the identical expression and
-  // fed through the same batched codec kernel, so the spike times —
-  // and therefore y — match forward() bit for bit.
-  std::vector<double> t_in(in_, 0.0);
-  std::vector<double> scaled(in_, 0.0);
-  for (std::size_t i = 0; i < in_; ++i) {
-    const double ratio = x[i] / input_scale_;
-    if (ratio < 0.0 || ratio > 1.0) ++stats.inputs_clamped;
-    const double xn = std::clamp(ratio, 0.0, 1.0);
-    scaled[i] = alpha_ * xn;
-  }
-  codec_.encode_times(scaled, t_in);
-
-  // accumulate() with per-column health probes.  Saturation taxonomy:
-  // a silent column (kNoSpike) means the current-sum never pulled the
-  // COG across the ramp — the readout books the slice boundary and the
-  // true value is censored from above; a spike inside the first clock
-  // period means the column is pinned at the slice start (at/over full
-  // scale, censored from below); a spike in the last clock period is
-  // one LSB away from falling silent.
-  const std::size_t bins = stats.spike_time_hist.size();
-  std::vector<double> recovered(mapping_.cols, 0.0);
-  std::vector<double> t_block_out;
-  for (const Block& block : blocks_) {
-    t_block_out.assign(block.slots, 0.0);
-    const std::span<const double> t_rows(t_in.data() + block.row0,
-                                         block.rows);
-    block.mvm->mvm_times(t_rows, t_block_out);
-    const bool remapped = !block.slot_of_col.empty();
-    for (std::size_t c = 0; c < block.cols; ++c) {
-      const std::size_t s = remapped ? block.slot_of_col[c] : c;
-      double t = t_block_out[s];
-      if (t == FastMvm::kNoSpike) {
-        ++stats.no_spike;
-        t = params.slice_length;
-      } else {
-        ++stats.spikes;
-        if (t <= params.clock_period) ++stats.pinned_start;
-        if (t >= params.slice_length - params.clock_period) {
-          ++stats.pinned_end;
-        }
-        const double norm = t / params.slice_length;
-        const auto bin = std::min(
-            bins - 1,
-            static_cast<std::size_t>(std::max(
-                0.0, norm * static_cast<double>(bins))));
-        ++stats.spike_time_hist[bin];
-      }
-      const double v_cog = params.ramp_voltage(t);
-      const double k = block.mvm->k(s);
-      const double g_total = block.mvm->g_total(s);
-      if (k > 0.0) {
-        recovered[block.col0 + c] += v_cog * g_total / k;
-      }
-    }
-  }
-  decode(recovered, y);
-  ++stats.vectors;
+  run(x, 1, y, local_workspace(), &stats);
 }
 
 void ProgrammedMatrix::forward_batch(std::span<const double> x, std::size_t n,
                                      std::span<double> y,
                                      BatchWorkspace& ws) const {
+  run(x, n, y, ws, nullptr);
+}
+
+void ProgrammedMatrix::run(std::span<const double> x, std::size_t n,
+                           std::span<double> y, BatchWorkspace& ws,
+                           ProbeStats* probe) const {
   RESIPE_TELEM_SCOPE("resipe_core.matrix.forward_batch");
   RESIPE_REQUIRE(x.size() == n * in_ && y.size() == n * out_,
-                 "forward_batch size mismatch");
+                 "matrix forward size mismatch");
   if (n == 0) return;
-  const auto& params = config_.circuit;
-
+  const std::size_t cols = mapping_.cols;
   ws.t_in.resize(n * in_);
-  for (std::size_t s = 0; s < n; ++s) {
-    encode_input(x.subspan(s * in_, in_),
-                 std::span<double>(ws.t_in.data() + s * in_, in_));
-  }
+  encode(x, n, ws.t_in, probe != nullptr ? &probe->inputs_clamped : nullptr);
+  RESIPE_TELEM_COUNT("resipe_core.matrix.block_mvms", n * blocks_.size());
+  ws.recovered.assign(n * cols, 0.0);
 
   if (config_.events.enabled) {
-    // Event-driven batch path: the batched dense kernel is documented
-    // bitwise-identical to n single calls per backend, so the sparse
-    // path runs each sample through accumulate_events() — which books
-    // its own block_mvms count per sample.
-    ws.recovered.resize(n * mapping_.cols);
+    // Event-driven: one queue per sample, each block woken or left
+    // asleep by the executor.  A sleeping block's idle_times outputs go
+    // through the same recovery as a woken block's, and both are
+    // bit-identical to the dense kernel on the same times.
+    events::ExecStats stats;
     for (std::size_t s = 0; s < n; ++s) {
-      accumulate_events(
-          std::span<const double>(ws.t_in.data() + s * in_, in_),
-          std::span<double>(ws.recovered.data() + s * mapping_.cols,
-                            mapping_.cols),
-          ws.queue, ws.exec);
+      const std::span<const double> t_in(ws.t_in.data() + s * in_, in_);
+      ws.queue.build(t_in, config_.circuit.slice_length);
+      for (const Block& block : blocks_) {
+        ws.t_out.resize(block.slots);
+        ws.exec.run_group(*block.mvm, ws.queue, block.row0,
+                          t_in.subspan(block.row0, block.rows), ws.t_out,
+                          stats);
+        recover(block, ws.t_out.data(), ws.recovered.data() + s * cols,
+                probe);
+      }
     }
-    for (std::size_t s = 0; s < n; ++s) {
-      decode(std::span<const double>(ws.recovered.data() + s * mapping_.cols,
-                                     mapping_.cols),
-             y.subspan(s * out_, out_));
-    }
-    return;
-  }
-
-  RESIPE_TELEM_COUNT("resipe_core.matrix.block_mvms", n * blocks_.size());
-  // Same block order and same per-column recovery arithmetic as
-  // accumulate(); only the batching differs.
-  ws.recovered.assign(n * mapping_.cols, 0.0);
-  for (const Block& block : blocks_) {
-    ws.t_rows.resize(n * block.rows);
-    for (std::size_t s = 0; s < n; ++s) {
-      const double* src = ws.t_in.data() + s * in_ + block.row0;
-      std::copy(src, src + block.rows, ws.t_rows.data() + s * block.rows);
-    }
-    ws.t_out.resize(n * block.slots);
-    block.mvm->mvm_times_batch(ws.t_rows, n, ws.t_out, ws.mvm);
-    const bool remapped = !block.slot_of_col.empty();
-    for (std::size_t s = 0; s < n; ++s) {
-      double* rec = ws.recovered.data() + s * mapping_.cols;
-      const double* t_blk = ws.t_out.data() + s * block.slots;
-      for (std::size_t c = 0; c < block.cols; ++c) {
-        const std::size_t slot = remapped ? block.slot_of_col[c] : c;
-        double t = t_blk[slot];
-        if (t == FastMvm::kNoSpike) t = params.slice_length;
-        const double v_cog = params.ramp_voltage(t);
-        const double k = block.mvm->k(slot);
-        const double g_total = block.mvm->g_total(slot);
-        if (k > 0.0) {
-          rec[block.col0 + c] += v_cog * g_total / k;
-        }
+    RESIPE_TELEM_COUNT("resipe_core.events.delivered",
+                       stats.events_delivered);
+    RESIPE_TELEM_COUNT("resipe_core.events.groups_woken",
+                       stats.groups_woken);
+    RESIPE_TELEM_COUNT("resipe_core.events.groups_skipped",
+                       stats.groups_skipped);
+    RESIPE_TELEM_COUNT("resipe_core.events.rows_skipped",
+                       stats.rows_skipped);
+  } else {
+    // Dense: each block runs once over the whole batch.
+    for (const Block& block : blocks_) {
+      ws.t_rows.resize(n * block.rows);
+      for (std::size_t s = 0; s < n; ++s) {
+        const double* src = ws.t_in.data() + s * in_ + block.row0;
+        std::copy(src, src + block.rows, ws.t_rows.data() + s * block.rows);
+      }
+      ws.t_out.resize(n * block.slots);
+      block.mvm->mvm_times_batch(ws.t_rows, n, ws.t_out, ws.mvm);
+      for (std::size_t s = 0; s < n; ++s) {
+        recover(block, ws.t_out.data() + s * block.slots,
+                ws.recovered.data() + s * cols, probe);
       }
     }
   }
 
   for (std::size_t s = 0; s < n; ++s) {
-    decode(std::span<const double>(ws.recovered.data() + s * mapping_.cols,
-                                   mapping_.cols),
+    decode(std::span<const double>(ws.recovered.data() + s * cols, cols),
            y.subspan(s * out_, out_));
   }
+  if (probe != nullptr) probe->vectors += n;
 }
 
 double ProgrammedMatrix::forward_analytic(std::span<const double> x,
@@ -691,11 +579,9 @@ double ProgrammedMatrix::forward_analytic(std::span<const double> x,
   // quantization, no slice clamping.
   thread_local std::vector<double> v_in;
   thread_local std::vector<double> recovered;
-  v_in.assign(in_, 0.0);
-  for (std::size_t i = 0; i < in_; ++i) {
-    const double xn = std::clamp(x[i] / input_scale_, 0.0, 1.0);
-    v_in[i] = alpha_ * xn * codec_.v_full();
-  }
+  v_in.resize(in_);
+  scale_input(x, v_in);
+  for (double& v : v_in) v *= codec_.v_full();
   recovered.assign(mapping_.cols, 0.0);
   double v_max = 0.0;
   for (const Block& block : blocks_) {
@@ -942,46 +828,37 @@ nn::Tensor ResipeNetwork::run_conv(const Step& step,
   return y;
 }
 
-nn::Tensor ResipeNetwork::forward(const nn::Tensor& batch) const {
-  nn::Tensor h = batch;
-  for (const Step& step : steps_) {
-    if (step.matrix != nullptr) {
-      h = step.is_conv ? run_conv(step, h) : run_dense(step, h);
-    } else {
-      h = step.layer->forward(h, /*train=*/false);
-    }
-  }
-  return h;
-}
-
-nn::Tensor ResipeNetwork::forward_observed(const nn::Tensor& batch,
-                                           LayerObserver& obs) const {
+nn::Tensor ResipeNetwork::run_steps(const nn::Tensor& batch, LayerObserver* obs,
+                                    const std::vector<bool>* digital) const {
   nn::Tensor h = batch;
   for (std::size_t i = 0; i < steps_.size(); ++i) {
     const Step& step = steps_[i];
-    nn::Tensor out =
-        step.matrix != nullptr
-            ? (step.is_conv ? run_conv(step, h) : run_dense(step, h))
-            : step.layer->forward(h, /*train=*/false);
-    obs.on_step(i, *step.layer, step.matrix, step.is_conv, h, out);
+    const bool analog =
+        step.matrix != nullptr &&
+        !(digital != nullptr && i < digital->size() && (*digital)[i]);
+    nn::Tensor out = !analog        ? step.layer->forward(h, /*train=*/false)
+                     : step.is_conv ? run_conv(step, h)
+                                    : run_dense(step, h);
+    if (obs != nullptr) {
+      obs->on_step(i, *step.layer, step.matrix, step.is_conv, h, out);
+    }
     h = std::move(out);
   }
   return h;
 }
 
+nn::Tensor ResipeNetwork::forward(const nn::Tensor& batch) const {
+  return run_steps(batch, nullptr, nullptr);
+}
+
+nn::Tensor ResipeNetwork::forward_observed(const nn::Tensor& batch,
+                                           LayerObserver& obs) const {
+  return run_steps(batch, &obs, nullptr);
+}
+
 nn::Tensor ResipeNetwork::forward_hybrid(
     const nn::Tensor& batch, const std::vector<bool>& digital_steps) const {
-  nn::Tensor h = batch;
-  for (std::size_t i = 0; i < steps_.size(); ++i) {
-    const Step& step = steps_[i];
-    const bool digital = i < digital_steps.size() && digital_steps[i];
-    if (step.matrix != nullptr && !digital) {
-      h = step.is_conv ? run_conv(step, h) : run_dense(step, h);
-    } else {
-      h = step.layer->forward(h, /*train=*/false);
-    }
-  }
-  return h;
+  return run_steps(batch, nullptr, &digital_steps);
 }
 
 ProgrammedMatrix::ReliabilityStats ResipeNetwork::reliability_stats() const {

@@ -81,7 +81,11 @@ std::string TwoSlicePipeline::diagram(std::size_t inputs,
       // emits during i + l + 1 (its S2).
       os << "|";
       if (s >= l && s - l < inputs) {
-        os << pad_to("i" + std::to_string(s - l), cell_width);
+        // Appended rather than `"i" + std::to_string(...)`, which trips
+        // a GCC 12 -Wrestrict false positive.
+        std::string cell(1, 'i');
+        cell += std::to_string(s - l);
+        os << pad_to(cell, cell_width);
       } else {
         os << std::string(cell_width, ' ');
       }

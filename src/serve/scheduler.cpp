@@ -177,6 +177,9 @@ void Scheduler::submit(Request request) {
                  "request " << request.id << " input size "
                             << request.input.size()
                             << " != pool input size " << pool_.input_size());
+  RESIPE_REQUIRE(std::all_of(request.input.begin(), request.input.end(),
+                             [](double v) { return std::isfinite(v); }),
+                 "request " << request.id << " has a non-finite input");
   RESIPE_REQUIRE(std::isfinite(request.arrival) && request.arrival >= 0.0,
                  "request " << request.id << " has a bad arrival time "
                             << request.arrival);

@@ -203,24 +203,62 @@ TEST(ProbeStats, StrongInputFiresEveryColumnAndFillsTheHistogram) {
   EXPECT_EQ(hist_mass, stats.spikes);
 }
 
+// forward_probed is forward with a probe sink.  Over plain, event-driven
+// and fault-remapped matrices, y must match forward bitwise, and the
+// counters must not depend on whether the events path is on.
 TEST(ProbeStats, OverRangeInputCountsClampsAndMatchesForwardExactly) {
-  resipe_core::EngineConfig cfg;
-  Rng rng(3);
-  const std::vector<double> w{0.5, 0.3, -0.2, 0.4};
-  const std::vector<double> b{0.1, -0.1};
-  resipe_core::ProgrammedMatrix pm(cfg, w, b, 2, 2, rng);
-  pm.set_input_scale(1.0);
+  resipe_core::EngineConfig plain;
+  resipe_core::EngineConfig remapped;
+  remapped.reliability.enabled = true;
+  remapped.reliability.faults.stuck_lrs_rate = 0.05;
+  remapped.reliability.faults.stuck_hrs_rate = 0.05;
+  remapped.reliability.fault_seed = 2;  // moves data columns onto spares
 
-  const std::vector<double> x{1.7, -0.4};  // both outside [0, 1]
-  std::vector<double> y_plain(2, 0.0), y_probed(2, 0.0);
-  pm.forward(x, y_plain);
-  resipe_core::ProgrammedMatrix::ProbeStats stats(
-      cfg.introspect.spike_time_bins);
-  pm.forward_probed(x, y_probed, stats);
+  constexpr std::size_t kIn = 8, kOut = 4;
+  Rng wrng(3);
+  std::vector<double> w(kIn * kOut);
+  for (double& v : w) v = wrng.uniform(-0.5, 0.5);
+  const std::vector<double> b{0.1, -0.1, 0.0, 0.2};
+  // Three entries outside [0, 1]; two rows silent.
+  const std::vector<double> x{1.7, -0.4, 0.3, 0.0, 2.5, 0.6, 0.0, 0.9};
 
-  EXPECT_EQ(stats.inputs_clamped, 2u);
-  for (std::size_t i = 0; i < y_plain.size(); ++i) {
-    EXPECT_EQ(y_probed[i], y_plain[i]);  // bitwise, not approximately
+  for (const resipe_core::EngineConfig& base : {plain, remapped}) {
+    std::vector<resipe_core::ProgrammedMatrix::ProbeStats> arms;
+    std::vector<std::vector<double>> outputs;
+    for (const bool events : {false, true}) {
+      resipe_core::EngineConfig cfg = base;
+      cfg.events.enabled = events;
+      Rng rng(3);
+      resipe_core::ProgrammedMatrix pm(cfg, w, b, kIn, kOut, rng);
+      pm.set_input_scale(1.0);
+      if (cfg.reliability.enabled) {
+        ASSERT_GT(pm.reliability_stats().columns_remapped, 0u);
+      }
+
+      std::vector<double> y_plain(kOut, 0.0), y_probed(kOut, 0.0);
+      pm.forward(x, y_plain);
+      resipe_core::ProgrammedMatrix::ProbeStats stats(
+          cfg.introspect.spike_time_bins);
+      pm.forward_probed(x, y_probed, stats);
+
+      EXPECT_EQ(stats.inputs_clamped, 3u);
+      EXPECT_EQ(stats.vectors, 1u);
+      for (std::size_t i = 0; i < kOut; ++i) {
+        EXPECT_EQ(y_probed[i], y_plain[i]);  // bitwise, not approximately
+      }
+      arms.push_back(stats);
+      outputs.push_back(y_probed);
+    }
+    const auto& dense = arms[0];
+    const auto& event = arms[1];
+    EXPECT_EQ(outputs[0], outputs[1]);
+    EXPECT_EQ(dense.spike_time_hist, event.spike_time_hist);
+    EXPECT_EQ(dense.spikes, event.spikes);
+    EXPECT_EQ(dense.no_spike, event.no_spike);
+    EXPECT_EQ(dense.pinned_start, event.pinned_start);
+    EXPECT_EQ(dense.pinned_end, event.pinned_end);
+    EXPECT_EQ(dense.inputs_clamped, event.inputs_clamped);
+    EXPECT_EQ(dense.vectors, event.vectors);
   }
 }
 

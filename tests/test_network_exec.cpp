@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <numeric>
 
 #include "resipe/common/error.hpp"
+#include "resipe/common/parallel.hpp"
 #include "resipe/eval/fidelity.hpp"
 #include "resipe/nn/zoo.hpp"
 
@@ -215,6 +219,170 @@ TEST(ResipeNetworkConv, IdealEngineMatchesSoftwareConv) {
   for (std::size_t i = 0; i < ref.size(); ++i) {
     EXPECT_NEAR(out[i], ref[i], 0.02 * scale) << "logit " << i;
   }
+}
+
+// --- one forward path: input validation and step-loop identities ------
+
+constexpr double kNonFinite[] = {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity()};
+
+bool bit_identical(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+bool bit_identical(const nn::Tensor& a, const nn::Tensor& b) {
+  return a.same_shape(b) && bit_identical(a.data(), b.data());
+}
+
+struct ThreadGuard {
+  ~ThreadGuard() { set_default_threads(0); }
+};
+
+ProgrammedMatrix small_matrix(bool events) {
+  EngineConfig cfg;
+  cfg.events.enabled = events;
+  Rng rng(12);
+  std::vector<double> w(6 * 4);
+  for (double& v : w) v = rng.uniform(-0.5, 0.5);
+  const std::vector<double> b(4, 0.0);
+  return ProgrammedMatrix(cfg, w, b, 6, 4, rng);
+}
+
+// NaN would pass std::clamp into the codec and read as "no spike", and
+// +-inf would clamp to full scale: both are rejected at entry.
+TEST(ProgrammedMatrix, ForwardRejectsNonFiniteInput) {
+  for (const bool events : {false, true}) {
+    const ProgrammedMatrix pm = small_matrix(events);
+    for (const double bad : kNonFinite) {
+      std::vector<double> x(6, 0.5);
+      x[3] = bad;
+      std::vector<double> y(4, 0.0);
+      EXPECT_THROW(pm.forward(x, y), Error) << bad << " events " << events;
+    }
+  }
+}
+
+TEST(ProgrammedMatrix, ForwardBatchRejectsNonFiniteInput) {
+  for (const bool events : {false, true}) {
+    const ProgrammedMatrix pm = small_matrix(events);
+    ProgrammedMatrix::BatchWorkspace ws;
+    for (const double bad : kNonFinite) {
+      std::vector<double> x(3 * 6, 0.5);
+      x[2 * 6 + 1] = bad;  // only the last vector is bad
+      std::vector<double> y(3 * 4, 0.0);
+      EXPECT_THROW(pm.forward_batch(x, 3, y, ws), Error)
+          << bad << " events " << events;
+    }
+  }
+}
+
+TEST(ProgrammedMatrix, ForwardProbedRejectsNonFiniteInput) {
+  const ProgrammedMatrix pm = small_matrix(false);
+  for (const double bad : kNonFinite) {
+    std::vector<double> x(6, 0.5);
+    x[0] = bad;
+    std::vector<double> y(4, 0.0);
+    ProgrammedMatrix::ProbeStats stats;
+    EXPECT_THROW(pm.forward_probed(x, y, stats), Error) << bad;
+  }
+}
+
+TEST(ProgrammedMatrix, CalibrationRejectsNonFiniteInput) {
+  ProgrammedMatrix pm = small_matrix(false);
+  for (const double bad : kNonFinite) {
+    std::vector<double> x(2 * 6, 0.5);
+    x[6 + 5] = bad;
+    std::vector<double> y(4, 0.0);
+    EXPECT_THROW(pm.forward_analytic(std::span<const double>(x).last(6), y),
+                 Error)
+        << bad;
+    EXPECT_THROW(pm.calibrate_alpha(x, 2), Error) << bad;
+  }
+}
+
+// The rejection must surface on the calling thread when it is thrown
+// inside a parallel_for worker (conv steps) or a chunked worker (dense
+// steps), at any thread count.
+TEST(ResipeNetwork, ForwardRejectsNonFiniteInputAtAnyThreadCount) {
+  ThreadGuard restore;
+  Rng rng(6);
+  nn::Sequential model("nonfinite-cnn");
+  model.emplace<nn::Conv2d>(1, 3, 3, 1, 1, rng);
+  model.emplace<nn::ReLU>();
+  model.emplace<nn::Flatten>();
+  model.emplace<nn::Dense>(3 * 6 * 6, 4, rng);
+  nn::Tensor calib({4, 1, 6, 6});
+  for (std::size_t i = 0; i < calib.size(); ++i)
+    calib[i] = rng.uniform(0.0, 1.0);
+  const ResipeNetwork hw(model, EngineConfig{}, calib);
+  for (const std::size_t threads : {1, 2, 8}) {
+    set_default_threads(threads);
+    for (const double bad : kNonFinite) {
+      nn::Tensor batch = calib;
+      batch[3 * 36 + 17] = bad;  // one pixel of the last image
+      EXPECT_THROW(hw.forward(batch), Error)
+          << bad << " threads " << threads;
+    }
+  }
+}
+
+/// Records the step indices forward_observed reports.
+class StepRecorder : public LayerObserver {
+ public:
+  std::vector<std::size_t> indices;
+  void on_step(std::size_t index, nn::Layer&, const ProgrammedMatrix*, bool,
+               const nn::Tensor&, const nn::Tensor&) override {
+    indices.push_back(index);
+  }
+};
+
+// forward, forward_observed and forward_hybrid share one step loop: the
+// observer changes nothing, an empty or all-false mask is the analog
+// forward, and an all-true mask is the software model.
+void expect_step_loop_identities(nn::BenchmarkNet which) {
+  ThreadGuard restore;
+  Rng rng(17);
+  nn::Sequential model = nn::build_benchmark(which, rng);
+  nn::Tensor calib({4, 1, 28, 28});
+  for (std::size_t i = 0; i < calib.size(); ++i)
+    calib[i] = rng.uniform(0.0, 1.0);
+  const ResipeNetwork net(model, EngineConfig{}, calib);
+  nn::Tensor batch({3, 1, 28, 28});
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    batch[i] = (i % 3 == 0) ? rng.uniform(0.0, 1.0) : 0.0;
+
+  const std::size_t steps = net.step_count();
+  std::vector<std::size_t> in_order(steps);
+  std::iota(in_order.begin(), in_order.end(), std::size_t{0});
+  set_default_threads(1);
+  const nn::Tensor analog = net.forward(batch);
+  const nn::Tensor digital = net.model().forward(batch, false);
+  for (const std::size_t threads : {1, 2, 8}) {
+    set_default_threads(threads);
+    StepRecorder rec;
+    EXPECT_TRUE(bit_identical(net.forward_observed(batch, rec), analog))
+        << "threads " << threads;
+    EXPECT_EQ(rec.indices, in_order) << "threads " << threads;
+    EXPECT_TRUE(bit_identical(net.forward_hybrid(batch, {}), analog))
+        << "threads " << threads;
+    EXPECT_TRUE(bit_identical(
+        net.forward_hybrid(batch, std::vector<bool>(steps, false)), analog))
+        << "threads " << threads;
+    EXPECT_TRUE(bit_identical(
+        net.forward_hybrid(batch, std::vector<bool>(steps, true)), digital))
+        << "threads " << threads;
+  }
+}
+
+TEST(ResipeNetworkStepLoop, ZooMlpEntryPointsAgree) {
+  expect_step_loop_identities(nn::BenchmarkNet::kMlp1);
+}
+
+TEST(ResipeNetworkStepLoop, ZooCnnEntryPointsAgree) {
+  expect_step_loop_identities(nn::BenchmarkNet::kCnn1);
 }
 
 }  // namespace

@@ -24,6 +24,13 @@ namespace {
 
 using namespace resipe;
 
+// Busy-waits for `iters` volatile stores so timed regions are never
+// empty (the optimizer cannot drop them).
+volatile int spin_sink = 0;
+void spin(int iters) {
+  for (int i = 0; i < iters; ++i) spin_sink = i;
+}
+
 // Restores the global accounting/telemetry switches so tests cannot
 // leak state into each other (the registry is process-wide).
 struct PerfSwitchGuard {
@@ -260,12 +267,10 @@ TEST(FoldedStacks, EmitsSemicolonPathsWithSelfTime) {
   PerfSwitchGuard guard;
   {
     telemetry::ScopedTimer outer("outer");
-    for (volatile int i = 0; i < 1000; ++i) {
-    }
+    spin(1000);
     {
       telemetry::ScopedTimer inner("inner");
-      for (volatile int i = 0; i < 1000; ++i) {
-      }
+      spin(1000);
     }
   }
   const std::string folded =
@@ -289,8 +294,7 @@ TEST(AnnotatedProfile, AppendsRatesToKnownRegions) {
   {
     telemetry::ScopedTimer t("region.hot");
     kernel.add_work({1000.0, 500.0});
-    for (volatile int i = 0; i < 1000; ++i) {
-    }
+    spin(1000);
   }
   const std::string tree = perf::render_annotated_profile(
       telemetry::CallProfile::this_thread());
@@ -304,8 +308,7 @@ TEST(AnnotatedProfile, AppendsRatesToKnownRegions) {
 TEST(PerfCounters, DegradesGracefullyAndKeepsWallClock) {
   perf::PerfCounterGroup counters;
   counters.start();
-  for (volatile int i = 0; i < 100000; ++i) {
-  }
+  spin(100000);
   counters.stop();
   const perf::PerfCounts counts = counters.read();
   EXPECT_GT(counts.wall_ns, 0.0);

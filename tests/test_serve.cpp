@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 
 #include "resipe/common/error.hpp"
 #include "resipe/common/parallel.hpp"
@@ -273,6 +274,24 @@ TEST(Scheduler, DeadlineExpiredAtAdmissionIsShed) {
   EXPECT_EQ(responses[0].reason, RejectReason::kDeadlineExpired);
   EXPECT_EQ(responses[0].attempts, 0u);
   EXPECT_TRUE(responses[0].logits.empty());
+}
+
+TEST(Scheduler, SubmitRejectsNonFiniteInput) {
+  Fixture fx;
+  ServeConfig scfg;
+  const std::vector<EngineConfig> replicas = {Fixture::clean_config(1)};
+  ChipPool pool(fx.model, fx.calibration, replicas, scfg);
+
+  Scheduler scheduler(pool, scfg);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    Request req = fx.request(0, 1.0e-6);
+    req.input[2] = bad;
+    EXPECT_THROW(scheduler.submit(req), Error) << bad;
+  }
+  // Rejected at the door: nothing was queued.
+  EXPECT_TRUE(scheduler.run().empty());
 }
 
 TEST(Scheduler, BurstOverCapacityShedsQueueFull) {

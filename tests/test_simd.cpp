@@ -199,8 +199,12 @@ TEST(SimdTranscendentals, EdgeCasesMatchIeee) {
   if (kW > 2) raw[2] = qnan;
   auto e = to_array(simd::exp(vdouble::load(raw.data())));
   EXPECT_EQ(e[0], 0.0);
-  if (kW > 1) EXPECT_EQ(e[1], kInf);
-  if (kW > 2) EXPECT_TRUE(std::isnan(e[2]));
+  if (kW > 1) {
+    EXPECT_EQ(e[1], kInf);
+  }
+  if (kW > 2) {
+    EXPECT_TRUE(std::isnan(e[2]));
+  }
 
   raw.fill(1.0);
   raw[0] = 0.0;
@@ -209,9 +213,15 @@ TEST(SimdTranscendentals, EdgeCasesMatchIeee) {
   if (kW > 3) raw[3] = qnan;
   auto l = to_array(simd::log(vdouble::load(raw.data())));
   EXPECT_EQ(l[0], -kInf);
-  if (kW > 1) EXPECT_TRUE(std::isnan(l[1]));
-  if (kW > 2) EXPECT_EQ(l[2], kInf);
-  if (kW > 3) EXPECT_TRUE(std::isnan(l[3]));
+  if (kW > 1) {
+    EXPECT_TRUE(std::isnan(l[1]));
+  }
+  if (kW > 2) {
+    EXPECT_EQ(l[2], kInf);
+  }
+  if (kW > 3) {
+    EXPECT_TRUE(std::isnan(l[3]));
+  }
 
   // exp(0) = 1 and log(1) = 0 exactly, on every lane.
   raw.fill(0.0);
