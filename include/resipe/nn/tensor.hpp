@@ -1,10 +1,13 @@
 // Dense N-dimensional tensor used by the neural-network substrate.
 //
 // Row-major `double` storage; ranks used in practice are 2 ([N, D] for
-// dense layers) and 4 ([N, C, H, W] for convolutional layers).  The
-// evaluation networks are small (the accuracy experiment maps them
-// through a circuit simulator, which dominates runtime), so clarity
-// beats BLAS here.
+// dense layers) and 4 ([N, C, H, W] for convolutional layers).  `at()`
+// checks rank and bounds on every call, which suits tests and cold
+// code.  The layer kernels do not use it: lowering a network runs the
+// software forward on its calibration batch, and that forward used to
+// outweigh crossbar programming and calibration together.  They
+// validate shapes once at entry and then loop over `data()` with raw
+// strides (see docs/performance.md, "Software reference layers").
 #pragma once
 
 #include <cstddef>

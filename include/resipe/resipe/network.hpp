@@ -354,7 +354,9 @@ class ResipeNetwork {
   /// Total virtual 32x32-class tiles used by the mapping.
   std::size_t tile_count() const;
 
-  /// Total tile MVM executions for one input image.
+  /// Total tile MVM executions for one input image: each dense step
+  /// runs its tiles once, each conv step once per output position (at
+  /// the spatial size the network was lowered with).
   std::size_t mvms_per_image() const;
 
   /// Matrix layers lowered.
@@ -377,6 +379,9 @@ class ResipeNetwork {
     // Conv geometry when the matrix implements a Conv2d.
     bool is_conv = false;
     std::size_t cin = 0, cout = 0, k = 0, stride = 0, pad = 0;
+    // Matrix vectors per image: oh * ow of the calibration batch for a
+    // conv step, 1 for a dense step.
+    std::size_t positions = 1;
   };
 
   /// The one step loop behind forward, forward_observed and

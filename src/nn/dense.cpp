@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -25,12 +26,18 @@ Tensor Dense::forward(const Tensor& x, bool train) {
   if (train) cached_x_ = x;
   const std::size_t n = x.dim(0);
   Tensor y({n, out_});
+  const double* xp = x.data().data();
+  const double* wp = w_.data().data();
+  const double* bp = b_.data().data();
+  double* yp = y.data().data();
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < out_; ++j) y.at(i, j) = b_.at(0, j);
+    double* yi = yp + i * out_;
+    std::copy(bp, bp + out_, yi);
     for (std::size_t k = 0; k < in_; ++k) {
-      const double xv = x.at(i, k);
+      const double xv = xp[i * in_ + k];
       if (xv == 0.0) continue;
-      for (std::size_t j = 0; j < out_; ++j) y.at(i, j) += xv * w_.at(k, j);
+      const double* wk = wp + k * out_;
+      for (std::size_t j = 0; j < out_; ++j) yi[j] += xv * wk[j];
     }
   }
   return y;
@@ -39,26 +46,33 @@ Tensor Dense::forward(const Tensor& x, bool train) {
 Tensor Dense::backward(const Tensor& grad_out) {
   RESIPE_REQUIRE(cached_x_.size() > 0, "backward before forward(train)");
   RESIPE_REQUIRE(grad_out.rank() == 2 && grad_out.dim(1) == out_,
-                 "dense grad shape mismatch");
+                 "dense grad shape mismatch " << grad_out.shape_str());
   const std::size_t n = grad_out.dim(0);
   RESIPE_REQUIRE(cached_x_.dim(0) == n, "batch size changed between passes");
 
   // dW = x^T g ; db = sum_i g ; dx = g W^T
+  const double* go = grad_out.data().data();
+  const double* xp = cached_x_.data().data();
+  const double* wp = w_.data().data();
+  double* gwp = gw_.data().data();
+  double* gbp = gb_.data().data();
   for (std::size_t i = 0; i < n; ++i) {
+    const double* xi = xp + i * in_;
     for (std::size_t j = 0; j < out_; ++j) {
-      const double g = grad_out.at(i, j);
+      const double g = go[i * out_ + j];
       if (g == 0.0) continue;
-      gb_.at(0, j) += g;
-      for (std::size_t k = 0; k < in_; ++k)
-        gw_.at(k, j) += cached_x_.at(i, k) * g;
+      gbp[j] += g;
+      for (std::size_t k = 0; k < in_; ++k) gwp[k * out_ + j] += xi[k] * g;
     }
   }
   Tensor gx({n, in_});
+  double* gxp = gx.data().data();
   for (std::size_t i = 0; i < n; ++i) {
+    double* gxi = gxp + i * in_;
     for (std::size_t j = 0; j < out_; ++j) {
-      const double g = grad_out.at(i, j);
+      const double g = go[i * out_ + j];
       if (g == 0.0) continue;
-      for (std::size_t k = 0; k < in_; ++k) gx.at(i, k) += g * w_.at(k, j);
+      for (std::size_t k = 0; k < in_; ++k) gxi[k] += g * wp[k * out_ + j];
     }
   }
   return gx;

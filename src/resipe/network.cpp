@@ -766,6 +766,7 @@ ResipeNetwork::ResipeNetwork(nn::Sequential& model,
       step.k = conv->kernel();
       step.stride = conv->stride();
       step.pad = conv->pad();
+      step.positions = oh * ow;
       matrices_.push_back(std::move(pm));
     }
     steps_.push_back(step);
@@ -890,12 +891,10 @@ std::size_t ResipeNetwork::tile_count() const {
 }
 
 std::size_t ResipeNetwork::mvms_per_image() const {
-  // Dense layers: one pass over all blocks per image.  Conv layers: one
-  // pass per output position.  Positions are not stored, so report the
-  // conservative per-vector count times 1; the examples derive full
-  // counts from geometry where needed.
   std::size_t n = 0;
-  for (const auto& m : matrices_) n += m->tile_count();
+  for (const Step& step : steps_) {
+    if (step.matrix != nullptr) n += step.matrix->tile_count() * step.positions;
+  }
   return n;
 }
 

@@ -195,7 +195,21 @@ TEST_F(MlpThroughHardware, TileAccounting) {
   EXPECT_EQ(hw.programmed_layers(), 2u);
   // 16x12 diff -> 24 phys cols -> 1 block; 12x4 -> 8 cols -> 1 block.
   EXPECT_EQ(hw.tile_count(), 2u);
-  EXPECT_GE(hw.mvms_per_image(), 2u);
+  EXPECT_EQ(hw.mvms_per_image(), 2u);
+}
+
+// A conv step runs its tiles once per output position.  CNN-1 at the
+// default 32x32 tiles: conv 1->6 (1 tile x 28*28) + conv 6->16
+// (5 tiles x 10*10) + dense 104 + 24 + 3 tiles = 1415 per image.
+TEST(ResipeNetworkConv, MvmsPerImageCountsEveryConvPosition) {
+  Rng rng(17);
+  nn::Sequential model = nn::build_benchmark(nn::BenchmarkNet::kCnn1, rng);
+  nn::Tensor calib({2, 1, 28, 28});
+  for (std::size_t i = 0; i < calib.size(); ++i)
+    calib[i] = rng.uniform(0.0, 1.0);
+  const ResipeNetwork net(model, EngineConfig{}, calib);
+  EXPECT_EQ(net.tile_count(), 137u);
+  EXPECT_EQ(net.mvms_per_image(), 1415u);
 }
 
 TEST(ResipeNetworkConv, IdealEngineMatchesSoftwareConv) {
