@@ -25,11 +25,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "resipe/common/error.hpp"
+#include "resipe/common/file.hpp"
+#include "resipe/common/json.hpp"
 #include "resipe/common/parallel.hpp"
 #include "resipe/common/simd.hpp"
 #include "resipe/introspect/inspect.hpp"
@@ -72,52 +75,39 @@ class BenchReport {
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start_)
             .count();
-    std::string json = "{\"bench\":\"" + escape(name_) + "\"";
-    json += ",\"git_sha\":\"" + escape(git_sha()) + "\"";
     if (config_hash_.empty()) {
       config_hash_ =
           introspect::engine_config_hash(resipe_core::EngineConfig{});
     }
-    json += ",\"config_hash\":\"" + escape(config_hash_) + "\"";
-    json += ",\"threads\":" + std::to_string(default_threads());
-    // The ISA the kernels actually ran with (honors RESIPE_SIMD=scalar)
-    // and the build's vector flags: numbers from different ISAs are not
-    // comparable, and bench_diff keys its baselines on this stamp.
-    json += ",\"simd_isa\":\"" + escape(simd::active_isa()) + "\"";
-    json += ",\"march\":\"" + escape(simd::march_flags()) + "\"";
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6f", wall_s);
-    json += ",\"wall_time_s\":";
-    json += buf;
-    json += ",\"figures\":{";
-    bool first = true;
-    for (const auto& [key, value] : numbers_) {
-      if (!first) json += ",";
-      first = false;
-      std::snprintf(buf, sizeof buf, "%.17g", value);
-      json += "\"";
-      json += escape(key);
-      json += "\":";
-      json += buf;
-    }
-    for (const auto& [key, value] : strings_) {
-      if (!first) json += ",";
-      first = false;
-      json += "\"";
-      json += escape(key);
-      json += "\":\"";
-      json += escape(value);
-      json += "\"";
-    }
-    json += "}}";
-    std::printf("BENCH_JSON %s\n", json.c_str());
+    char wall[32];
+    std::snprintf(wall, sizeof wall, "%.6f", wall_s);
+    std::ostringstream os;
+    json::Writer w(os);
+    w.begin_object()
+        .field("bench", name_)
+        .field("git_sha", git_sha())
+        .field("config_hash", config_hash_)
+        .field("threads", default_threads())
+        // The ISA the kernels actually ran with (honors
+        // RESIPE_SIMD=scalar) and the build's vector flags: numbers from
+        // different ISAs are not comparable, and bench_diff keys its
+        // baselines on this stamp.
+        .field("simd_isa", simd::active_isa())
+        .field("march", simd::march_flags())
+        .raw_field("wall_time_s", wall)
+        .key("figures")
+        .begin_object();
+    for (const auto& [key, value] : numbers_) w.field(key, value);
+    for (const auto& [key, value] : strings_) w.field(key, value);
+    w.end_object().end_object();
+    const std::string line = os.str();
+    std::printf("BENCH_JSON %s\n", line.c_str());
     if (!json_path_.empty()) {
-      std::ofstream os(json_path_);
-      if (os.good()) {
-        os << json << "\n";
-      } else {
-        std::fprintf(stderr, "bench_report: cannot write %s\n",
-                     json_path_.c_str());
+      try {
+        write_text_file(json_path_, "bench report",
+                        [&line](std::ostream& f) { f << line << "\n"; });
+      } catch (const Error& e) {
+        std::fprintf(stderr, "bench_report: %s\n", e.what());
         return 1;
       }
     }
@@ -138,20 +128,6 @@ class BenchReport {
 #else
     return "unknown";
 #endif
-  }
-
-  static std::string escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char ch : s) {
-      if (ch == '"' || ch == '\\') out.push_back('\\');
-      if (ch == '\n') {
-        out += "\\n";
-        continue;
-      }
-      out.push_back(ch);
-    }
-    return out;
   }
 
   std::string name_;

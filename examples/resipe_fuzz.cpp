@@ -21,6 +21,7 @@
 
 #include <filesystem>
 
+#include "resipe/common/file.hpp"
 #include "resipe/verify/contracts.hpp"
 #include "resipe/verify/fuzzer.hpp"
 #include "resipe/verify/generators.hpp"
@@ -91,8 +92,10 @@ int emit_corpus(const std::string& dir,
     record.contract = "all";
     const auto path = std::filesystem::path(dir) /
                       ("case_seed" + std::to_string(seed) + ".json");
-    std::ofstream out(path);
-    out << resipe::verify::repro_to_json(record);
+    resipe::write_text_file(path.string(), "corpus case",
+                            [&record](std::ostream& os) {
+                              os << resipe::verify::repro_to_json(record);
+                            });
     std::printf("%s  %s\n", path.c_str(), record.spec.summary().c_str());
   }
   return 0;

@@ -27,10 +27,11 @@
 // deterministic and bit-identical at any thread count.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "resipe/common/file.hpp"
+#include "resipe/common/json.hpp"
 #include "resipe/common/table.hpp"
 #include "resipe/nn/data.hpp"
 #include "resipe/nn/train.hpp"
@@ -227,43 +228,41 @@ int main(int argc, char** argv) {
     }
 
     if (!out.empty()) {
-      std::ofstream os(out);
-      if (!os) {
-        std::fprintf(stderr, "cannot open %s\n", out.c_str());
-        return 1;
-      }
-      os << "{\n"
-         << "  \"offered\": " << stats.submitted << ",\n"
-         << "  \"served_ok\": " << stats.served_ok << ",\n"
-         << "  \"served_degraded\": " << stats.served_degraded << ",\n"
-         << "  \"shed_queue_full\": " << stats.shed_queue_full << ",\n"
-         << "  \"shed_deadline\": " << stats.shed_deadline << ",\n"
-         << "  \"shed_quarantine\": " << stats.shed_quarantine << ",\n"
-         << "  \"late_completions\": " << stats.late_completions << ",\n"
-         << "  \"retries\": " << stats.retries << ",\n"
-         << "  \"batches\": " << stats.batches << ",\n"
-         << "  \"mean_batch\": " << stats.mean_batch << ",\n"
-         << "  \"shed_rate\": " << stats.shed_rate() << ",\n"
-         << "  \"throughput_rps\": " << stats.throughput << ",\n"
-         << "  \"latency_p50_s\": " << stats.p50 << ",\n"
-         << "  \"latency_p95_s\": " << stats.p95 << ",\n"
-         << "  \"latency_p99_s\": " << stats.p99 << ",\n"
-         << "  \"served_accuracy\": " << acc << ",\n"
-         << "  \"healthy_chips\": " << pool.healthy_count() << ",\n"
-         << "  \"pool_size\": " << pool.size() << ",\n"
-         << "  \"trace_events\": " << journal.size() << ",\n"
-         << "  \"trace_dropped\": " << journal.dropped() << ",\n"
-         << "  \"audit_ok\": " << (audit.ok() ? "true" : "false") << ",\n"
-         << "  \"tenants\": " << tenants << ",\n"
-         << "  \"slo_availability_budget_used\": "
-         << slo_report.total.availability_budget_used << ",\n"
-         << "  \"slo_latency_budget_used\": "
-         << slo_report.total.latency_budget_used << ",\n"
-         << "  \"slo_availability_burn_max\": "
-         << slo_report.total.availability_burn_max << ",\n"
-         << "  \"slo_latency_burn_max\": "
-         << slo_report.total.latency_burn_max << "\n"
-         << "}\n";
+      write_text_file(out, "serving report", [&](std::ostream& os) {
+        json::Writer(os)
+            .begin_object()
+            .field("offered", stats.submitted)
+            .field("served_ok", stats.served_ok)
+            .field("served_degraded", stats.served_degraded)
+            .field("shed_queue_full", stats.shed_queue_full)
+            .field("shed_deadline", stats.shed_deadline)
+            .field("shed_quarantine", stats.shed_quarantine)
+            .field("late_completions", stats.late_completions)
+            .field("retries", stats.retries)
+            .field("batches", stats.batches)
+            .field("mean_batch", stats.mean_batch)
+            .field("shed_rate", stats.shed_rate())
+            .field("throughput_rps", stats.throughput)
+            .field("latency_p50_s", stats.p50)
+            .field("latency_p95_s", stats.p95)
+            .field("latency_p99_s", stats.p99)
+            .field("served_accuracy", acc)
+            .field("healthy_chips", pool.healthy_count())
+            .field("pool_size", pool.size())
+            .field("trace_events", journal.size())
+            .field("trace_dropped", journal.dropped())
+            .field("audit_ok", audit.ok())
+            .field("tenants", tenants)
+            .field("slo_availability_budget_used",
+                   slo_report.total.availability_budget_used)
+            .field("slo_latency_budget_used",
+                   slo_report.total.latency_budget_used)
+            .field("slo_availability_burn_max",
+                   slo_report.total.availability_burn_max)
+            .field("slo_latency_burn_max", slo_report.total.latency_burn_max)
+            .end_object();
+        os << "\n";
+      });
       std::printf("wrote %s\n", out.c_str());
     }
   } catch (const std::exception& e) {

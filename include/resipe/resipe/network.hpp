@@ -44,7 +44,6 @@
 #include "resipe/resipe/events/executor.hpp"
 #include "resipe/resipe/fast_mvm.hpp"
 #include "resipe/resipe/spike_code.hpp"
-#include "resipe/serve/config.hpp"
 
 namespace resipe::resipe_core {
 
@@ -93,22 +92,14 @@ struct EngineConfig {
   /// forward_probed / forward_observed entry points.
   introspect::InspectOptions introspect;
 
-  /// Serving-layer knobs (scheduler / admission / retry / health — see
-  /// serve/config.hpp).  The engine's own forward paths never read
-  /// these: they cannot affect logits, only how a chip pool schedules
-  /// and sheds load, which is why they are excluded from
-  /// engine_config_hash.  Living here keeps one config object the unit
-  /// of generation and validation for the verify fuzzer.
-  serve::ServeConfig serve;
-
   /// Event-driven sparse execution (see resipe/events/ and DESIGN.md
   /// §15).  Disabled by default: the engine runs the exact legacy
   /// dense per-slice path.  Enabled, inputs become timestamped spike
   /// events, column groups without events sleep, and silent rows are
   /// skipped — with logits bit-identical to the dense reference at
   /// any thread count (pinned by the sparse_dense_identity contract
-  /// and tests/test_events.cpp).  Like `serve`, the flag cannot
-  /// affect logits, so it is excluded from engine_config_hash.
+  /// and tests/test_events.cpp).  The flag cannot affect logits, so
+  /// it is excluded from engine_config_hash.
   events::EventConfig events;
 
   /// "Ideal" configuration: linearized transfers, continuous timing,

@@ -1,13 +1,12 @@
 // Serving-layer configuration: admission control, batching, deadlines,
 // retry/backoff and chip-pool health checking.
 //
-// Header-only on purpose: `EngineConfig` embeds a ServeConfig (so the
-// verify fuzzer generates and validates serving knobs exactly like
-// every other engine knob) while the serving *runtime* lives in the
-// resipe_serve library, which depends on resipe_core — the dependency
-// must not run the other way.  None of these knobs is read by the
-// inference engine itself: a ServeConfig cannot change logits, only how
-// requests are queued, batched, retried and routed above the engine.
+// Kept apart from `resipe_core::EngineConfig`: the engine never reads
+// these knobs, so a ServeConfig cannot change logits, only how requests
+// are queued, batched, retried and routed above the engine.  The chip
+// pool and scheduler take one next to the engine configs of their
+// replicas and validate it on construction; the verify fuzzer draws one
+// per case into `verify::CaseSpec::serve`.
 //
 // Every duration is in *virtual* seconds — the scheduler runs on a
 // deterministic virtual clock (see scheduler.hpp), so a serving trace

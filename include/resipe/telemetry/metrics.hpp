@@ -246,8 +246,9 @@ HistogramSummary summarize_histogram(const MetricsSnapshot::HistogramData& h);
 
 /// Writes the registry snapshot as a flat JSON document.  Histograms
 /// carry min/max and p50/p95/p99 percentile summaries next to their
-/// raw buckets.
+/// raw buckets.  The second form writes a given snapshot.
 void write_metrics_json(std::ostream& os);
+void write_metrics_json(std::ostream& os, const MetricsSnapshot& snapshot);
 void write_metrics_json_file(const std::string& path);
 
 /// Renders the registry snapshot as aligned ASCII tables (counters,

@@ -8,10 +8,10 @@
 // keep reproducing under the old meaning via the committed corpus while
 // fresh fuzz runs explore the new space.
 //
-// EngineConfig::validate() defines the valid domain — the generator
-// only emits configs that pass it (asserted at generation time), so a
-// contract failure is always an engine bug, never an out-of-contract
-// input.
+// EngineConfig::validate() and ServeConfig::validate() define the
+// valid domain — the generator only emits configs that pass them
+// (asserted at generation time), so a contract failure is always an
+// engine bug, never an out-of-contract input.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "resipe/resipe/network.hpp"
+#include "resipe/serve/config.hpp"
 
 namespace resipe::verify {
 
@@ -43,6 +44,10 @@ struct CaseSpec {
 
   /// Engine configuration under test (always passes validate()).
   resipe_core::EngineConfig config;
+
+  /// Serving-layer configuration the serving contracts run the chip
+  /// pool and scheduler with (always passes validate()).
+  serve::ServeConfig serve;
 
   /// Raw crossbar geometry for tile-level contracts.
   std::size_t rows = 4;

@@ -2,10 +2,10 @@
 // and the ASCII dashboard.
 #include <cstdio>
 #include <ctime>
-#include <fstream>
 #include <sstream>
 
-#include "resipe/common/error.hpp"
+#include "resipe/common/file.hpp"
+#include "resipe/common/json.hpp"
 #include "resipe/common/parallel.hpp"
 #include "resipe/common/table.hpp"
 #include "resipe/introspect/inspect.hpp"
@@ -14,25 +14,6 @@
 namespace resipe::introspect {
 
 namespace {
-
-std::string number(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-void json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') os << '\\';
-    if (ch == '\n') {
-      os << "\\n";
-      continue;
-    }
-    os << ch;
-  }
-  os << '"';
-}
 
 double share(std::uint64_t part, std::uint64_t whole) {
   return whole == 0 ? 0.0
@@ -129,79 +110,87 @@ Provenance collect_provenance(const resipe_core::EngineConfig& config) {
 
 std::string InspectionReport::to_json() const {
   std::ostringstream os;
-  os << "{\"provenance\":{\"engine_config_hash\":";
-  json_string(os, provenance.engine_config_hash);
-  os << ",\"program_seed\":" << provenance.program_seed
-     << ",\"fault_seed\":" << provenance.fault_seed
-     << ",\"threads\":" << provenance.threads << ",\"telemetry_build\":"
-     << (provenance.telemetry_build ? "true" : "false")
-     << ",\"telemetry_enabled\":"
-     << (provenance.telemetry_enabled ? "true" : "false")
-     << ",\"compiler\":";
-  json_string(os, provenance.compiler);
-  os << ",\"build_type\":";
-  json_string(os, provenance.build_type);
-  os << ",\"timestamp\":";
-  json_string(os, provenance.timestamp);
-  os << "},\"model\":";
-  json_string(os, model_name);
-  os << ",\"batch_size\":" << batch_size
-     << ",\"analog_accuracy\":" << number(analog_accuracy)
-     << ",\"digital_accuracy\":" << number(digital_accuracy)
-     << ",\"logits_rmse\":" << number(logits_rmse)
-     << ",\"total_energy_j\":" << number(total_energy) << ",\"layers\":[";
-  bool first = true;
+  json::Writer w(os);
+  w.begin_object()
+      .key("provenance")
+      .begin_object()
+      .field("engine_config_hash", provenance.engine_config_hash)
+      .field("program_seed", provenance.program_seed)
+      .field("fault_seed", provenance.fault_seed)
+      .field("threads", provenance.threads)
+      .field("telemetry_build", provenance.telemetry_build)
+      .field("telemetry_enabled", provenance.telemetry_enabled)
+      .field("compiler", provenance.compiler)
+      .field("build_type", provenance.build_type)
+      .field("timestamp", provenance.timestamp)
+      .end_object()
+      .field("model", model_name)
+      .field("batch_size", batch_size)
+      .field("analog_accuracy", analog_accuracy)
+      .field("digital_accuracy", digital_accuracy)
+      .field("logits_rmse", logits_rmse)
+      .field("total_energy_j", total_energy)
+      .key("layers")
+      .begin_array();
   for (const LayerReport& lr : layers) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"step\":" << lr.step << ",\"name\":";
-    json_string(os, lr.name);
-    os << ",\"is_matrix\":" << (lr.is_matrix ? "true" : "false")
-       << ",\"is_conv\":" << (lr.is_conv ? "true" : "false")
-       << ",\"tiles\":" << lr.tiles;
+    w.begin_object()
+        .field("step", lr.step)
+        .field("name", lr.name)
+        .field("is_matrix", lr.is_matrix)
+        .field("is_conv", lr.is_conv)
+        .field("tiles", lr.tiles);
     if (lr.probed) {
       const auto& pr = lr.probe;
-      os << ",\"spike_health\":{\"vectors\":" << pr.vectors
-         << ",\"spikes\":" << pr.spikes << ",\"no_spike\":" << pr.no_spike
-         << ",\"pinned_start\":" << pr.pinned_start
-         << ",\"pinned_end\":" << pr.pinned_end
-         << ",\"inputs_clamped\":" << pr.inputs_clamped
-         << ",\"time_hist\":[";
-      for (std::size_t i = 0; i < pr.spike_time_hist.size(); ++i) {
-        if (i > 0) os << ",";
-        os << pr.spike_time_hist[i];
-      }
-      os << "]},\"activity\":{\"outputs\":" << lr.activity.outputs
-         << ",\"dead\":" << lr.activity.dead
-         << ",\"always_on\":" << lr.activity.always_on << "}";
+      w.key("spike_health")
+          .begin_object()
+          .field("vectors", pr.vectors)
+          .field("spikes", pr.spikes)
+          .field("no_spike", pr.no_spike)
+          .field("pinned_start", pr.pinned_start)
+          .field("pinned_end", pr.pinned_end)
+          .field("inputs_clamped", pr.inputs_clamped)
+          .key("time_hist")
+          .begin_array();
+      for (const std::uint64_t n : pr.spike_time_hist) w.value(n);
+      w.end_array()
+          .end_object()
+          .key("activity")
+          .begin_object()
+          .field("outputs", lr.activity.outputs)
+          .field("dead", lr.activity.dead)
+          .field("always_on", lr.activity.always_on)
+          .end_object();
     }
     if (lr.error.computed) {
-      os << ",\"error\":{\"vectors\":" << lr.error.vectors
-         << ",\"total\":" << number(lr.error.total)
-         << ",\"quantization\":" << number(lr.error.quantization)
-         << ",\"variation\":" << number(lr.error.variation)
-         << ",\"nonlinearity\":" << number(lr.error.nonlinearity) << "}";
+      w.key("error")
+          .begin_object()
+          .field("vectors", lr.error.vectors)
+          .field("total", lr.error.total)
+          .field("quantization", lr.error.quantization)
+          .field("variation", lr.error.variation)
+          .field("nonlinearity", lr.error.nonlinearity)
+          .end_object();
     }
     if (lr.energy.tile_mvms > 0.0) {
-      os << ",\"energy\":{\"per_tile_mvm_j\":"
-         << number(lr.energy.per_tile_mvm)
-         << ",\"tile_mvms\":" << number(lr.energy.tile_mvms)
-         << ",\"total_j\":" << number(lr.energy.total) << "}";
+      w.key("energy")
+          .begin_object()
+          .field("per_tile_mvm_j", lr.energy.per_tile_mvm)
+          .field("tile_mvms", lr.energy.tile_mvms)
+          .field("total_j", lr.energy.total)
+          .end_object();
     }
     if (lr.accuracy_if_digital >= 0.0) {
-      os << ",\"accuracy_if_digital\":" << number(lr.accuracy_if_digital);
+      w.field("accuracy_if_digital", lr.accuracy_if_digital);
     }
-    os << "}";
+    w.end_object();
   }
-  os << "]}";
+  w.end_array().end_object();
   return os.str();
 }
 
 void InspectionReport::write_json_file(const std::string& path) const {
-  std::ofstream os(path);
-  RESIPE_REQUIRE(os.good(), "cannot open inspection report " << path);
-  os << to_json() << "\n";
-  RESIPE_REQUIRE(os.good(), "failed writing inspection report " << path);
+  write_text_file(path, "inspection report",
+                  [this](std::ostream& os) { os << to_json() << "\n"; });
 }
 
 std::string InspectionReport::render_ascii() const {

@@ -4,44 +4,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <map>
 #include <sstream>
 
-#include "resipe/common/error.hpp"
+#include "resipe/common/file.hpp"
+#include "resipe/common/json.hpp"
 #include "resipe/common/table.hpp"
 
 namespace resipe::perf {
-
-namespace {
-
-std::string number(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-void json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') os << '\\';
-    if (ch == '\n') {
-      os << "\\n";
-      continue;
-    }
-    os << ch;
-  }
-  os << '"';
-}
-
-std::string rate3(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.3f", v);
-  return buf;
-}
-
-}  // namespace
 
 RooflineReport build_roofline_report(const MachineProfile& machine,
                                      const PerfCounts& counters) {
@@ -80,14 +50,14 @@ std::string RooflineReport::render_ascii() const {
   std::ostringstream os;
   os << "== roofline ==\n";
   os << "machine: " << machine.cpu_model << " (" << machine.cores
-     << " hw threads), peak " << rate3(machine.peak_gflops)
-     << " GFLOP/s, " << rate3(machine.peak_gbs) << " GB/s, ridge "
-     << rate3(machine.ridge()) << " FLOP/byte\n";
+     << " hw threads), peak " << format_fixed(machine.peak_gflops)
+     << " GFLOP/s, " << format_fixed(machine.peak_gbs) << " GB/s, ridge "
+     << format_fixed(machine.ridge()) << " FLOP/byte\n";
   if (counters.available) {
-    os << "counters: IPC " << rate3(counters.ipc()) << ", "
-       << rate3(counters.ghz()) << " GHz, cache-miss rate "
-       << rate3(counters.cache_miss_rate()) << ", branch misses "
-       << number(counters.branch_misses) << "\n";
+    os << "counters: IPC " << format_fixed(counters.ipc()) << ", "
+       << format_fixed(counters.ghz()) << " GHz, cache-miss rate "
+       << format_fixed(counters.cache_miss_rate()) << ", branch misses "
+       << json::number(counters.branch_misses) << "\n";
   } else if (!counters.detail.empty()) {
     os << "counters: unavailable (" << counters.detail
        << "); wall-clock only\n";
@@ -101,8 +71,9 @@ std::string RooflineReport::render_ascii() const {
     table.add_row(
         {k.name, std::to_string(k.calls),
          k.timed ? format_si(k.seconds, "s") : "(untimed)",
-         k.timed ? rate3(k.gflops) : "-", k.timed ? rate3(k.gbs) : "-",
-         rate3(k.intensity), k.memory_bound ? "memory" : "compute",
+         k.timed ? format_fixed(k.gflops) : "-",
+         k.timed ? format_fixed(k.gbs) : "-",
+         format_fixed(k.intensity), k.memory_bound ? "memory" : "compute",
          k.timed && k.attainable_gflops > 0.0
              ? format_percent(k.efficiency)
              : "-"});
@@ -171,52 +142,56 @@ std::string RooflineReport::render_ascii() const {
 }
 
 void RooflineReport::write_json(std::ostream& os) const {
-  os << "{\"machine\":{\"cpu_model\":";
-  json_string(os, machine.cpu_model);
-  os << ",\"cores\":" << machine.cores << ",\"fingerprint\":";
-  json_string(os, machine.fingerprint);
-  os << ",\"fingerprint_hash\":";
-  json_string(os, machine.fingerprint_hash);
-  os << ",\"peak_gflops\":" << number(machine.peak_gflops)
-     << ",\"peak_gbs\":" << number(machine.peak_gbs)
-     << ",\"ridge_flop_per_byte\":" << number(machine.ridge()) << "}";
-  os << ",\"counters\":{\"available\":"
-     << (counters.available ? "true" : "false") << ",\"detail\":";
-  json_string(os, counters.detail);
-  os << ",\"wall_ns\":" << number(counters.wall_ns)
-     << ",\"cycles\":" << number(counters.cycles)
-     << ",\"instructions\":" << number(counters.instructions)
-     << ",\"ipc\":" << number(counters.ipc())
-     << ",\"cache_references\":" << number(counters.cache_references)
-     << ",\"cache_misses\":" << number(counters.cache_misses)
-     << ",\"cache_miss_rate\":" << number(counters.cache_miss_rate())
-     << ",\"branch_misses\":" << number(counters.branch_misses) << "}";
-  os << ",\"kernels\":[";
-  bool first = true;
+  json::Writer w(os);
+  w.begin_object()
+      .key("machine")
+      .begin_object()
+      .field("cpu_model", machine.cpu_model)
+      .field("cores", machine.cores)
+      .field("fingerprint", machine.fingerprint)
+      .field("fingerprint_hash", machine.fingerprint_hash)
+      .field("peak_gflops", machine.peak_gflops)
+      .field("peak_gbs", machine.peak_gbs)
+      .field("ridge_flop_per_byte", machine.ridge())
+      .end_object()
+      .key("counters")
+      .begin_object()
+      .field("available", counters.available)
+      .field("detail", counters.detail)
+      .field("wall_ns", counters.wall_ns)
+      .field("cycles", counters.cycles)
+      .field("instructions", counters.instructions)
+      .field("ipc", counters.ipc())
+      .field("cache_references", counters.cache_references)
+      .field("cache_misses", counters.cache_misses)
+      .field("cache_miss_rate", counters.cache_miss_rate())
+      .field("branch_misses", counters.branch_misses)
+      .end_object()
+      .key("kernels")
+      .begin_array();
   for (const KernelRates& k : kernels) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":";
-    json_string(os, k.name);
-    os << ",\"calls\":" << k.calls << ",\"seconds\":" << number(k.seconds)
-       << ",\"flops\":" << number(k.flops)
-       << ",\"bytes\":" << number(k.bytes)
-       << ",\"timed\":" << (k.timed ? "true" : "false")
-       << ",\"gflops\":" << number(k.gflops)
-       << ",\"gbs\":" << number(k.gbs)
-       << ",\"intensity_flop_per_byte\":" << number(k.intensity)
-       << ",\"bound\":\"" << (k.memory_bound ? "memory" : "compute")
-       << "\",\"attainable_gflops\":" << number(k.attainable_gflops)
-       << ",\"roofline_efficiency\":" << number(k.efficiency) << "}";
+    w.begin_object()
+        .field("name", k.name)
+        .field("calls", k.calls)
+        .field("seconds", k.seconds)
+        .field("flops", k.flops)
+        .field("bytes", k.bytes)
+        .field("timed", k.timed)
+        .field("gflops", k.gflops)
+        .field("gbs", k.gbs)
+        .field("intensity_flop_per_byte", k.intensity)
+        .field("bound", k.memory_bound ? "memory" : "compute")
+        .field("attainable_gflops", k.attainable_gflops)
+        .field("roofline_efficiency", k.efficiency)
+        .end_object();
   }
-  os << "]}\n";
+  w.end_array().end_object();
+  os << "\n";
 }
 
 void RooflineReport::write_json_file(const std::string& path) const {
-  std::ofstream os(path);
-  RESIPE_REQUIRE(os.good(), "cannot open roofline file " << path);
-  write_json(os);
-  RESIPE_REQUIRE(os.good(), "failed writing roofline file " << path);
+  write_text_file(path, "roofline file",
+                  [this](std::ostream& os) { write_json(os); });
 }
 
 // --- folded stacks -----------------------------------------------------
@@ -250,10 +225,9 @@ std::string folded_stacks(const telemetry::CallProfile& profile) {
 
 void write_folded_stacks_file(const std::string& path,
                               const telemetry::CallProfile& profile) {
-  std::ofstream os(path);
-  RESIPE_REQUIRE(os.good(), "cannot open folded-stack file " << path);
-  os << folded_stacks(profile);
-  RESIPE_REQUIRE(os.good(), "failed writing folded-stack file " << path);
+  write_text_file(path, "folded-stack file", [&profile](std::ostream& os) {
+    os << folded_stacks(profile);
+  });
 }
 
 // --- annotated call tree -----------------------------------------------
@@ -283,8 +257,9 @@ void render_annotated(
     const double bytes =
         it->second.bytes_per_call * static_cast<double>(node.count);
     const double ns = static_cast<double>(node.total_ns);
-    os << "  [" << rate3(flops / ns) << " GFLOP/s, " << rate3(bytes / ns)
-       << " GB/s, " << rate3(bytes > 0.0 ? flops / bytes : 0.0)
+    os << "  [" << format_fixed(flops / ns) << " GFLOP/s, "
+       << format_fixed(bytes / ns) << " GB/s, "
+       << format_fixed(bytes > 0.0 ? flops / bytes : 0.0)
        << " FLOP/B]";
   }
   os << "\n";

@@ -27,7 +27,6 @@ void EngineConfig::validate() const {
   circuit.validate();
   device.validate();
   reliability.validate();
-  serve.validate();
   events.validate();
   RESIPE_REQUIRE(tile_rows > 0 && tile_cols > 0,
                  "tile dimensions must be positive, got "

@@ -1,12 +1,13 @@
 #include "resipe/serve/trace.hpp"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "resipe/common/error.hpp"
+#include "resipe/common/file.hpp"
+#include "resipe/common/json.hpp"
+#include "resipe/common/table.hpp"
 #include "resipe/telemetry/trace.hpp"
 
 namespace resipe::serve {
@@ -282,58 +283,72 @@ TraceAudit audit_trace(const EventJournal& journal,
 
 namespace {
 
-/// Minimal JSON writer for one event line.  Fields that do not apply
-/// (kNoId request/batch, kNoChip) are omitted, so every present key is
-/// meaningful.
+/// `%.9g`, the precision the NDJSON schema pins for probe RMSE and
+/// retry backoff.
+std::string g9(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.9g", v);
+  return buf;
+}
+
+/// A Chrome `args` object, filled by `fill(writer)`.
+template <typename Fill>
+std::string args_object(Fill fill) {
+  std::ostringstream os;
+  json::Writer w(os);
+  w.begin_object();
+  fill(w);
+  w.end_object();
+  return os.str();
+}
+
+/// One event line.  Fields that do not apply (kNoId request/batch,
+/// kNoChip) are omitted, so every present key is meaningful.
 void write_event_json(std::ostream& os, const ServeEvent& e) {
-  char buf[64];
-  os << "{\"seq\":" << e.seq;
-  std::snprintf(buf, sizeof buf, "%.9f", e.time);
-  os << ",\"t\":" << buf;
-  os << ",\"kind\":\"" << to_string(e.kind) << '"';
+  json::Writer w(os);
+  w.begin_object()
+      .field("seq", e.seq)
+      .raw_field("t", format_fixed(e.time, 9))
+      .field("kind", to_string(e.kind));
   if (e.request != kNoId) {
-    os << ",\"request\":" << e.request << ",\"tenant\":" << e.tenant;
+    w.field("request", e.request).field("tenant", e.tenant);
   }
-  if (e.batch != kNoId) os << ",\"batch\":" << e.batch;
-  if (e.chip != kNoChip) os << ",\"chip\":" << e.chip;
-  os << ",\"attempt\":" << e.attempt;
+  if (e.batch != kNoId) w.field("batch", e.batch);
+  if (e.chip != kNoChip) w.field("chip", e.chip);
+  w.field("attempt", e.attempt);
+  const auto count = static_cast<std::size_t>(e.value);
   switch (e.kind) {
     case ServeEventKind::kShed:
-      os << ",\"reason\":\""
-         << to_string(static_cast<RejectReason>(e.code)) << '"';
+      w.field("reason", to_string(static_cast<RejectReason>(e.code)));
       break;
     case ServeEventKind::kBatchForm:
-      os << ",\"fill\":\""
-         << to_string(static_cast<BatchFillReason>(e.code))
-         << "\",\"size\":" << static_cast<std::size_t>(e.value);
+      w.field("fill", to_string(static_cast<BatchFillReason>(e.code)))
+          .field("size", count);
       break;
     case ServeEventKind::kComplete:
-      os << ",\"status\":\"" << (e.code == 0 ? "ok" : "degraded")
-         << "\",\"degraded_outputs\":" << static_cast<std::size_t>(e.value);
+      w.field("status", e.code == 0 ? "ok" : "degraded")
+          .field("degraded_outputs", count);
       break;
     case ServeEventKind::kProbe:
-      os << ",\"verdict\":\"" << (e.code == 0 ? "clean" : "fail") << '"';
-      std::snprintf(buf, sizeof buf, "%.6f", e.value);
-      os << ",\"mismatch\":" << buf;
-      std::snprintf(buf, sizeof buf, "%.9g", e.aux);
-      os << ",\"rmse\":" << buf;
+      w.field("verdict", e.code == 0 ? "clean" : "fail")
+          .raw_field("mismatch", format_fixed(e.value, 6))
+          .raw_field("rmse", g9(e.aux));
       break;
     case ServeEventKind::kRetrySchedule:
-      std::snprintf(buf, sizeof buf, "%.9g", e.value);
-      os << ",\"backoff_s\":" << buf;
-      std::snprintf(buf, sizeof buf, "%.9g", e.aux);
-      os << ",\"jitter\":" << buf;
+      w.raw_field("backoff_s", g9(e.value))
+          .raw_field("jitter", g9(e.aux));
       break;
     case ServeEventKind::kAdmit:
-      os << ",\"queue_depth\":" << static_cast<std::size_t>(e.value);
+      w.field("queue_depth", count);
       break;
     case ServeEventKind::kAttemptDone:
-      os << ",\"degraded_outputs\":" << static_cast<std::size_t>(e.value);
+      w.field("degraded_outputs", count);
       break;
     default:
       break;
   }
-  os << "}\n";
+  w.end_object();
+  os << "\n";
 }
 
 }  // namespace
@@ -341,28 +356,39 @@ void write_event_json(std::ostream& os, const ServeEvent& e) {
 void write_events_ndjson(const EventJournal& journal,
                          const ServingStats& stats, std::ostream& os) {
   const std::vector<ServeEvent> events = journal.events();
-  os << "{\"schema\":\"resipe.serve.trace/1\",\"events\":" << events.size()
-     << ",\"dropped\":" << journal.dropped() << "}\n";
+  json::Writer(os)
+      .begin_object()
+      .field("schema", "resipe.serve.trace/1")
+      .field("events", events.size())
+      .field("dropped", journal.dropped())
+      .end_object();
+  os << "\n";
   for (const ServeEvent& e : events) write_event_json(os, e);
-  os << "{\"summary\":{\"submitted\":" << stats.submitted
-     << ",\"served_ok\":" << stats.served_ok
-     << ",\"served_degraded\":" << stats.served_degraded
-     << ",\"shed_queue_full\":" << stats.shed_queue_full
-     << ",\"shed_deadline\":" << stats.shed_deadline
-     << ",\"shed_quarantine\":" << stats.shed_quarantine
-     << ",\"late_completions\":" << stats.late_completions
-     << ",\"retries\":" << stats.retries
-     << ",\"batches\":" << stats.batches
-     << ",\"dropped\":" << journal.dropped() << "}}\n";
+  json::Writer(os)
+      .begin_object()
+      .key("summary")
+      .begin_object()
+      .field("submitted", stats.submitted)
+      .field("served_ok", stats.served_ok)
+      .field("served_degraded", stats.served_degraded)
+      .field("shed_queue_full", stats.shed_queue_full)
+      .field("shed_deadline", stats.shed_deadline)
+      .field("shed_quarantine", stats.shed_quarantine)
+      .field("late_completions", stats.late_completions)
+      .field("retries", stats.retries)
+      .field("batches", stats.batches)
+      .field("dropped", journal.dropped())
+      .end_object()
+      .end_object();
+  os << "\n";
 }
 
 void write_events_ndjson_file(const EventJournal& journal,
                               const ServingStats& stats,
                               const std::string& path) {
-  std::ofstream os(path);
-  RESIPE_REQUIRE(os.good(), "cannot open events file " << path);
-  write_events_ndjson(journal, stats, os);
-  RESIPE_REQUIRE(os.good(), "failed writing events file " << path);
+  write_text_file(path, "events file", [&](std::ostream& os) {
+    write_events_ndjson(journal, stats, os);
+  });
 }
 
 void export_chrome_trace(const EventJournal& journal,
@@ -390,13 +416,13 @@ void export_chrome_trace(const EventJournal& journal,
     session.add_event(std::move(e));
   };
   const auto instant = [&emit](const std::string& name, double t,
-                               std::uint32_t tid, std::string args) {
+                               std::uint32_t tid, const auto& fill_args) {
     TraceEvent e;
     e.name = name;
     e.phase = 'i';
     e.ts_ns = virtual_ns(t);
     e.tid = tid;
-    e.args_json = std::move(args);
+    e.args_json = args_object(fill_args);
     emit(std::move(e));
   };
   const auto flow = [&emit](char phase, std::uint64_t id, double t,
@@ -431,11 +457,11 @@ void export_chrome_trace(const EventJournal& journal,
     span.ts_ns = virtual_ns(open->time);
     span.dur_ns = virtual_ns(closed->second) - span.ts_ns;
     span.tid = lane_for_chip(open->chip);
-    std::ostringstream args;
-    args << "{\"batch\":" << batch_id << ",\"size\":"
-         << static_cast<std::size_t>(open->value) << ",\"fill\":\""
-         << to_string(static_cast<BatchFillReason>(open->code)) << "\"}";
-    span.args_json = args.str();
+    span.args_json = args_object([&](json::Writer& w) {
+      w.field("batch", batch_id)
+          .field("size", static_cast<std::size_t>(open->value))
+          .field("fill", to_string(static_cast<BatchFillReason>(open->code)));
+    });
     emit(std::move(span));
   }
 
@@ -462,10 +488,9 @@ void export_chrome_trace(const EventJournal& journal,
             wait.ts_ns = virtual_ns(admit_time);
             wait.dur_ns = virtual_ns(e.time) - wait.ts_ns;
             wait.tid = kSchedulerLane;
-            std::ostringstream args;
-            args << "{\"request\":" << id << ",\"attempt\":" << e.attempt
-                 << "}";
-            wait.args_json = args.str();
+            wait.args_json = args_object([&](json::Writer& w) {
+              w.field("request", id).field("attempt", e.attempt);
+            });
             emit(std::move(wait));
             admit_time = -1.0;
           }
@@ -482,18 +507,17 @@ void export_chrome_trace(const EventJournal& journal,
           }
           break;
         case ServeEventKind::kShed: {
-          std::ostringstream args;
-          args << "{\"request\":" << id << ",\"reason\":\""
-               << to_string(static_cast<RejectReason>(e.code)) << "\"}";
-          instant("serve.shed", e.time, kSchedulerLane, args.str());
+          instant("serve.shed", e.time, kSchedulerLane, [&](json::Writer& w) {
+            w.field("request", id)
+                .field("reason", to_string(static_cast<RejectReason>(e.code)));
+          });
           if (flow_started) flow('f', id, e.time, kSchedulerLane);
           break;
         }
         case ServeEventKind::kRetrySchedule: {
-          std::ostringstream args;
-          args << "{\"request\":" << id << ",\"backoff_s\":" << e.value
-               << "}";
-          instant("serve.retry", e.time, kSchedulerLane, args.str());
+          instant("serve.retry", e.time, kSchedulerLane, [&](json::Writer& w) {
+            w.field("request", id).field("backoff_s", e.value);
+          });
           break;
         }
         default:
@@ -519,22 +543,22 @@ void export_chrome_trace(const EventJournal& journal,
         break;
       case ServeEventKind::kProbe:
         if (e.code != 0) {
-          std::ostringstream args;
-          args << "{\"chip\":" << e.chip << ",\"mismatch\":" << e.value
-               << ",\"rmse\":" << e.aux << "}";
-          instant("serve.probe_fail", e.time, kHealthLane, args.str());
+          instant("serve.probe_fail", e.time, kHealthLane,
+                  [&](json::Writer& w) {
+                    w.field("chip", e.chip)
+                        .field("mismatch", e.value)
+                        .field("rmse", e.aux);
+                  });
         }
         break;
       case ServeEventKind::kQuarantine: {
-        std::ostringstream args;
-        args << "{\"chip\":" << e.chip << "}";
-        instant("serve.quarantine", e.time, kHealthLane, args.str());
+        instant("serve.quarantine", e.time, kHealthLane,
+                [&](json::Writer& w) { w.field("chip", e.chip); });
         break;
       }
       case ServeEventKind::kReadmit: {
-        std::ostringstream args;
-        args << "{\"chip\":" << e.chip << "}";
-        instant("serve.readmit", e.time, kHealthLane, args.str());
+        instant("serve.readmit", e.time, kHealthLane,
+                [&](json::Writer& w) { w.field("chip", e.chip); });
         break;
       }
       default:

@@ -1,84 +1,50 @@
 // Flat metric dumps: JSON for machines, CSV (via common::CsvWriter) for
 // spreadsheets and the repo's re-plot scripts.
-#include <cstdio>
-#include <fstream>
 #include <string>
 #include <utility>
 
 #include "resipe/common/csv.hpp"
-#include "resipe/common/error.hpp"
+#include "resipe/common/file.hpp"
+#include "resipe/common/json.hpp"
 #include "resipe/common/table.hpp"
 #include "resipe/telemetry/metrics.hpp"
 
 namespace resipe::telemetry {
 
-namespace {
-
-std::string number(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-void json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') os << '\\';
-    os << ch;
-  }
-  os << '"';
-}
-
-}  // namespace
-
 void write_metrics_json(std::ostream& os) {
-  const MetricsSnapshot snap = MetricRegistry::instance().snapshot();
-  os << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : snap.counters) {
-    if (!first) os << ",";
-    first = false;
-    json_string(os, name);
-    os << ":" << value;
-  }
-  os << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : snap.gauges) {
-    if (!first) os << ",";
-    first = false;
-    json_string(os, name);
-    os << ":" << number(value);
-  }
-  os << "},\"histograms\":{";
-  first = true;
+  write_metrics_json(os, MetricRegistry::instance().snapshot());
+}
+
+void write_metrics_json(std::ostream& os, const MetricsSnapshot& snap) {
+  json::Writer w(os);
+  w.begin_object().key("counters").begin_object();
+  for (const auto& [name, value] : snap.counters) w.field(name, value);
+  w.end_object().key("gauges").begin_object();
+  for (const auto& [name, value] : snap.gauges) w.field(name, value);
+  w.end_object().key("histograms").begin_object();
   for (const auto& [name, h] : snap.histograms) {
-    if (!first) os << ",";
-    first = false;
-    json_string(os, name);
-    os << ":{\"bounds\":[";
-    for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-      if (i > 0) os << ",";
-      os << number(h.bounds[i]);
-    }
-    os << "],\"buckets\":[";
-    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-      if (i > 0) os << ",";
-      os << h.buckets[i];
-    }
+    w.key(name).begin_object().key("bounds").begin_array();
+    for (const double b : h.bounds) w.value(b);
+    w.end_array().key("buckets").begin_array();
+    for (const std::uint64_t n : h.buckets) w.value(n);
     const HistogramSummary s = summarize_histogram(h);
-    os << "],\"count\":" << h.count << ",\"sum\":" << number(h.sum)
-       << ",\"min\":" << number(s.min) << ",\"max\":" << number(s.max)
-       << ",\"p50\":" << number(s.p50) << ",\"p95\":" << number(s.p95)
-       << ",\"p99\":" << number(s.p99) << "}";
+    w.end_array()
+        .field("count", h.count)
+        .field("sum", h.sum)
+        .field("min", s.min)
+        .field("max", s.max)
+        .field("p50", s.p50)
+        .field("p95", s.p95)
+        .field("p99", s.p99)
+        .end_object();
   }
-  os << "}}\n";
+  w.end_object().end_object();
+  os << "\n";
 }
 
 void write_metrics_json_file(const std::string& path) {
-  std::ofstream os(path);
-  RESIPE_REQUIRE(os.good(), "cannot open metrics file " << path);
-  write_metrics_json(os);
-  RESIPE_REQUIRE(os.good(), "failed writing metrics file " << path);
+  write_text_file(path, "metrics file",
+                  [](std::ostream& os) { write_metrics_json(os); });
 }
 
 void write_metrics_csv(std::ostream& os) {
@@ -99,7 +65,7 @@ void write_metrics_csv(std::ostream& os) {
   for (const auto& [name, h] : snap.histograms) {
     for (std::size_t i = 0; i < h.buckets.size(); ++i) {
       const std::string tag =
-          i < h.bounds.size() ? "le_" + number(h.bounds[i]) : "overflow";
+          i < h.bounds.size() ? "le_" + json::number(h.bounds[i]) : "overflow";
       names.push_back(name + "." + tag);
       types.push_back("histogram_bucket");
       values.push_back(static_cast<double>(h.buckets[i]));
@@ -128,10 +94,8 @@ void write_metrics_csv(std::ostream& os) {
 }
 
 void write_metrics_csv_file(const std::string& path) {
-  std::ofstream os(path);
-  RESIPE_REQUIRE(os.good(), "cannot open metrics file " << path);
-  write_metrics_csv(os);
-  RESIPE_REQUIRE(os.good(), "failed writing metrics file " << path);
+  write_text_file(path, "metrics file",
+                  [](std::ostream& os) { write_metrics_csv(os); });
 }
 
 std::string render_metrics_ascii() {

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <fstream>
+#include <string_view>
 
-#include "resipe/common/error.hpp"
+#include "resipe/common/file.hpp"
+#include "resipe/common/json.hpp"
+#include "resipe/common/table.hpp"
 #include "resipe/telemetry/metrics.hpp"
 #include "resipe/telemetry/timer.hpp"
 
@@ -18,25 +19,6 @@ std::uint32_t this_thread_id() {
   thread_local const std::uint32_t id =
       next.fetch_add(1, std::memory_order_relaxed);
   return id;
-}
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (char ch : s) {
-    switch (ch) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          os << buf;
-        } else {
-          os << ch;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -153,62 +135,55 @@ void TraceSession::write_chrome_trace(std::ostream& os) const {
                    [](const TraceEvent& a, const TraceEvent& b) {
                      return a.ts_ns < b.ts_ns;
                    });
-  os << "{\"traceEvents\":[";
-  bool first = true;
+  // Chrome expects microseconds; fractional us keep the ns detail.
+  const auto micros = [](std::uint64_t ns) {
+    return format_fixed(static_cast<double>(ns) * 1e-3, 3);
+  };
+  json::Writer w(os);
+  w.begin_object().key("traceEvents").begin_array();
   // Metadata first: one thread_name record per registered track so the
   // viewer labels lanes before any event references them.
   for (const auto& [key, label] : names) {
-    if (!first) os << ",";
-    first = false;
-    os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << key.first
-       << ",\"tid\":" << key.second << ",\"args\":{\"name\":\"";
-    json_escape(os, label);
-    os << "\"}}";
+    w.begin_object()
+        .field("name", "thread_name")
+        .field("ph", "M")
+        .field("pid", key.first)
+        .field("tid", key.second)
+        .key("args")
+        .begin_object()
+        .field("name", label)
+        .end_object()
+        .end_object();
   }
   for (const TraceEvent& e : events) {
-    if (!first) os << ",";
-    first = false;
     const auto dot = e.name.find('.');
-    const std::string cat =
-        dot == std::string::npos ? e.name : e.name.substr(0, dot);
-    os << "{\"name\":\"";
-    json_escape(os, e.name);
-    os << "\",\"cat\":\"";
-    json_escape(os, cat);
-    os << "\",\"ph\":\"" << e.phase << "\"";
-    // Chrome expects microseconds; emit fractional us to keep ns detail.
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.3f",
-                  static_cast<double>(e.ts_ns) * 1e-3);
-    os << ",\"ts\":" << buf;
-    if (e.phase == 'X') {
-      std::snprintf(buf, sizeof buf, "%.3f",
-                    static_cast<double>(e.dur_ns) * 1e-3);
-      os << ",\"dur\":" << buf;
-    }
-    if (e.phase == 'i') os << ",\"s\":\"t\"";
+    w.begin_object()
+        .field("name", e.name)
+        .field("cat", std::string_view(e.name).substr(0, dot))
+        .field("ph", std::string_view(&e.phase, 1))
+        .raw_field("ts", micros(e.ts_ns));
+    if (e.phase == 'X') w.raw_field("dur", micros(e.dur_ns));
+    if (e.phase == 'i') w.field("s", "t");
     if (e.phase == 's' || e.phase == 't' || e.phase == 'f') {
-      os << ",\"id\":" << e.flow_id;
+      w.field("id", e.flow_id);
       // Bind the arrow's end to the enclosing slice, the conventional
       // rendering for request flows.
-      if (e.phase == 'f') os << ",\"bp\":\"e\"";
+      if (e.phase == 'f') w.field("bp", "e");
     }
     if (e.phase == 'C' && e.args_json.empty()) {
-      std::snprintf(buf, sizeof buf, "%.17g", e.value);
-      os << ",\"args\":{\"value\":" << buf << "}";
+      w.key("args").begin_object().field("value", e.value).end_object();
     } else if (!e.args_json.empty()) {
-      os << ",\"args\":" << e.args_json;
+      w.raw_field("args", e.args_json);
     }
-    os << ",\"pid\":" << e.pid << ",\"tid\":" << e.tid << "}";
+    w.field("pid", e.pid).field("tid", e.tid).end_object();
   }
-  os << "],\"displayTimeUnit\":\"ns\"}\n";
+  w.end_array().field("displayTimeUnit", "ns").end_object();
+  os << "\n";
 }
 
 void TraceSession::write_chrome_trace_file(const std::string& path) const {
-  std::ofstream os(path);
-  RESIPE_REQUIRE(os.good(), "cannot open trace file " << path);
-  write_chrome_trace(os);
-  RESIPE_REQUIRE(os.good(), "failed writing trace file " << path);
+  write_text_file(path, "trace file",
+                  [this](std::ostream& os) { write_chrome_trace(os); });
 }
 
 }  // namespace resipe::telemetry

@@ -156,8 +156,10 @@ NetworkFixture build_network_inputs(const CaseSpec& spec, Rng& rng) {
 }
 
 bool bit_identical(std::span<const double> a, std::span<const double> b) {
+  // A shed response's empty logits may have a null data().
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 // --- contract bodies ---------------------------------------------------
@@ -165,6 +167,7 @@ bool bit_identical(std::span<const double> a, std::span<const double> b) {
 ContractResult check_config_valid(const CaseSpec& spec) {
   try {
     spec.config.validate();
+    spec.serve.validate();
   } catch (const std::exception& e) {
     return ContractResult::fail(std::string("generated config rejected: ") +
                                 e.what());
@@ -623,11 +626,11 @@ ContractResult check_serving_identity(const CaseSpec& spec) {
   // health limits); batching/backoff/probe cadence stay as drawn.
   EngineConfig cfg = spec.config;
   cfg.reliability.enabled = false;
-  cfg.serve.queue_capacity = 64;
-  cfg.serve.default_deadline = 1.0e3;
-  cfg.serve.health.max_canary_mismatch = 1.0;
-  cfg.serve.health.logit_rmse_limit = 1.0e30;
-  const serve::ServeConfig& scfg = cfg.serve;
+  serve::ServeConfig scfg = spec.serve;
+  scfg.queue_capacity = 64;
+  scfg.default_deadline = 1.0e3;
+  scfg.health.max_canary_mismatch = 1.0;
+  scfg.health.logit_rmse_limit = 1.0e30;
 
   serve::ChipPool pool(*fx.model, fx.calibration, {cfg, cfg}, scfg);
   const ResipeNetwork direct(*fx.model, cfg, fx.calibration);
@@ -709,8 +712,8 @@ ContractResult check_serving_trace_identity(const CaseSpec& spec) {
   Rng rng(hash_seed(spec.descriptor.seed, kStreamServingTrace));
   NetworkFixture fx = build_network_inputs(spec, rng);
 
-  EngineConfig cfg = spec.config;
-  const serve::ServeConfig& scfg = cfg.serve;
+  const EngineConfig& cfg = spec.config;
+  const serve::ServeConfig& scfg = spec.serve;
 
   constexpr std::size_t kRequests = 8;
   constexpr std::uint64_t kTenants = 3;
@@ -1011,7 +1014,8 @@ InjectedBug injected_bug() { return g_injected_bug; }
 const std::vector<Contract>& contract_registry() {
   static const std::vector<Contract> registry = {
       {"config_valid",
-       "generated configurations pass EngineConfig::validate()",
+       "generated configurations pass EngineConfig::validate() and "
+       "ServeConfig::validate()",
        check_config_valid},
       {"codec_roundtrip",
        "spike codec round-trips values within one clock slot, "

@@ -2,10 +2,11 @@
 
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "resipe/common/error.hpp"
+#include "resipe/common/file.hpp"
+#include "resipe/common/json.hpp"
 #include "resipe/verify/serialize.hpp"
 #include "resipe/verify/shrink.hpp"
 
@@ -25,9 +26,9 @@ std::string write_repro(const std::string& dir, const FuzzFailure& failure) {
       fs::path(dir) / ("repro_" + failure.contract + "_seed" +
                        std::to_string(failure.original.descriptor.seed) +
                        ".json");
-  std::ofstream out(path);
-  RESIPE_REQUIRE(out.good(), "cannot write repro record " << path.string());
-  out << repro_to_json(record);
+  write_text_file(path.string(), "repro record", [&record](std::ostream& os) {
+    os << repro_to_json(record);
+  });
   return path.string();
 }
 
@@ -67,13 +68,19 @@ std::string FuzzReport::render() const {
 
 std::string FuzzReport::bench_json() const {
   std::ostringstream os;
-  os << "BENCH_JSON {\"bench\": \"verify_fuzz\", \"schema_version\": "
-     << kSchemaVersion << ", \"cases\": " << cases_run
-     << ", \"checks\": " << checks() << ", \"violations\": " << violations()
-     << ", \"wall_s\": " << wall_s << ", \"cases_per_s\": "
-     << (wall_s > 0.0 ? static_cast<double>(cases_run) / wall_s : 0.0)
-     << ", \"budget_exhausted\": " << (budget_exhausted ? "true" : "false")
-     << "}";
+  os << "BENCH_JSON ";
+  json::Writer(os)
+      .begin_object()
+      .field("bench", "verify_fuzz")
+      .field("schema_version", kSchemaVersion)
+      .field("cases", cases_run)
+      .field("checks", checks())
+      .field("violations", violations())
+      .field("wall_s", wall_s)
+      .field("cases_per_s",
+             wall_s > 0.0 ? static_cast<double>(cases_run) / wall_s : 0.0)
+      .field("budget_exhausted", budget_exhausted)
+      .end_object();
   return os.str();
 }
 

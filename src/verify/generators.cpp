@@ -27,8 +27,8 @@ std::string CaseSpec::summary() const {
      << " rel=" << (config.reliability.enabled ? 1 : 0)
      << " insp=" << (config.introspect.enabled ? 1 : 0)
      << " evt=" << (config.events.enabled ? 1 : 0)
-     << " srv=[q" << config.serve.queue_capacity << " b"
-     << config.serve.batch_max << " r" << config.serve.retry_max << "]"
+     << " srv=[q" << serve.queue_capacity << " b" << serve.batch_max
+     << " r" << serve.retry_max << "]"
      << " net=["
      << inputs;
   for (const std::size_t w : layers) os << "->" << w;
@@ -158,7 +158,7 @@ CaseSpec generate_case(const CaseDescriptor& descriptor) {
   // --- serving layer (schema v2).  Appended after every v1 draw so the
   // earlier stream is bit-identical across versions.  Ranges mirror
   // ServeConfig::validate()'s accepted domain exactly.
-  serve::ServeConfig& srv = cfg.serve;
+  serve::ServeConfig& srv = spec.serve;
   srv.queue_capacity = static_cast<std::size_t>(rng.uniform_int(1, 64));
   srv.batch_max = static_cast<std::size_t>(rng.uniform_int(1, 8));
   srv.batch_window = rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.0, 1.0e-3);
@@ -185,6 +185,7 @@ CaseSpec generate_case(const CaseDescriptor& descriptor) {
 
   // The generator's output contract: everything it emits is valid.
   cfg.validate();
+  srv.validate();
   return spec;
 }
 

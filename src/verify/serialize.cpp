@@ -1,60 +1,21 @@
 #include "resipe/verify/serialize.hpp"
 
+#include <algorithm>
 #include <cctype>
-#include <cstdio>
+#include <concepts>
 #include <cstdlib>
+#include <functional>
 #include <sstream>
+#include <vector>
 
 #include "resipe/common/error.hpp"
+#include "resipe/common/json.hpp"
 
 namespace resipe::verify {
 namespace {
 
 using circuits::TransferModel;
 using crossbar::SignedMapping;
-
-// --- writing -----------------------------------------------------------
-
-std::string num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-std::string quoted(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-  return out;
-}
-
-const char* mapping_name(SignedMapping m) {
-  switch (m) {
-    case SignedMapping::kComplementaryPair:
-      return "complementary_pair";
-    case SignedMapping::kOffsetColumn:
-      return "offset_column";
-    default:
-      return "differential_pair";
-  }
-}
-
-SignedMapping mapping_from(const std::string& s) {
-  if (s == "complementary_pair") return SignedMapping::kComplementaryPair;
-  if (s == "offset_column") return SignedMapping::kOffsetColumn;
-  RESIPE_REQUIRE(s == "differential_pair",
-                 "unknown mapping strategy '" << s << "' in repro record");
-  return SignedMapping::kDifferentialPair;
-}
 
 // --- minimal flat-JSON scanner -----------------------------------------
 //
@@ -73,28 +34,35 @@ class Scanner {
     ++i_;
   }
 
-  bool consume(char c) {
-    skip_ws();
-    if (i_ < s_.size() && s_[i_] == c) {
-      ++i_;
-      return true;
-    }
-    return false;
-  }
-
   char peek() {
     skip_ws();
     return i_ < s_.size() ? s_[i_] : '\0';
   }
 
+  /// A quoted string, decoding every escape json::quote emits.
+  /// Corpus files are outside input, so an unknown escape is an error,
+  /// not a silently dropped backslash.
   std::string string_value() {
     expect('"');
     std::string out;
     while (i_ < s_.size() && s_[i_] != '"') {
       char c = s_[i_++];
-      if (c == '\\' && i_ < s_.size()) {
+      if (c == '\\') {
+        RESIPE_REQUIRE(i_ < s_.size(),
+                       "repro JSON: unterminated escape at offset " << i_);
         c = s_[i_++];
-        if (c == 'n') c = '\n';
+        switch (c) {
+          case '"': case '\\': break;
+          case 'n': c = '\n'; break;
+          case 't': c = '\t'; break;
+          case 'r': c = '\r'; break;
+          case 'b': c = '\b'; break;
+          case 'f': c = '\f'; break;
+          case 'u': c = static_cast<char>(hex_code_unit()); break;
+          default:
+            RESIPE_REQUIRE(false, "repro JSON: unknown escape '\\"
+                                      << c << "' at offset " << i_ - 1);
+        }
       }
       out += c;
     }
@@ -116,6 +84,24 @@ class Scanner {
   }
 
  private:
+  /// The four hex digits of a `\uXXXX` escape.  Only code units below
+  /// 0x80 decode to one byte, which covers every escape json::quote
+  /// writes; anything wider is rejected.
+  unsigned hex_code_unit() {
+    const std::string hex = s_.substr(i_, 4);
+    RESIPE_REQUIRE(hex.size() == 4 &&
+                       std::all_of(hex.begin(), hex.end(),
+                                   [](unsigned char h) {
+                                     return std::isxdigit(h) != 0;
+                                   }),
+                   "repro JSON: bad \\u escape at offset " << i_);
+    i_ += 4;
+    const auto v = static_cast<unsigned>(std::stoul(hex, nullptr, 16));
+    RESIPE_REQUIRE(v < 0x80, "repro JSON: \\u" << hex
+                                 << " is outside the ASCII range");
+    return v;
+  }
+
   void skip_ws() {
     while (i_ < s_.size() &&
            std::isspace(static_cast<unsigned char>(s_[i_]))) {
@@ -127,13 +113,6 @@ class Scanner {
   std::size_t i_ = 0;
 };
 
-double to_double(const std::string& t) {
-  char* end = nullptr;
-  const double v = std::strtod(t.c_str(), &end);
-  RESIPE_REQUIRE(end && *end == '\0', "repro JSON: bad number '" << t << "'");
-  return v;
-}
-
 std::uint64_t to_u64(const std::string& t) {
   char* end = nullptr;
   const std::uint64_t v = std::strtoull(t.c_str(), &end, 10);
@@ -142,153 +121,228 @@ std::uint64_t to_u64(const std::string& t) {
   return v;
 }
 
-bool to_bool(const std::string& t) {
+// --- the record's fields ------------------------------------------------
+//
+// One entry per key, in file order.  repro_to_json walks the table to
+// write a record and repro_from_json looks each key up in it to read
+// one back, so the two cannot drift apart.
+
+struct FieldCodec {
+  const char* key;
+  std::function<std::string(const ReproRecord&)> write;
+  std::function<void(ReproRecord&, const std::string&)> read;
+};
+
+// The member of a ReproRecord a codec reads and writes; the generic
+// lambda binds to a const record when writing, a mutable one when
+// reading.
+#define FIELD(member) [](auto& r) -> auto& { return r.member; }
+#define CFG(member) FIELD(spec.config.member)
+
+std::string encode(double v) { return json::number(v); }
+std::string encode(bool v) { return v ? "true" : "false"; }
+std::string encode(const std::string& v) { return json::quote(v); }
+template <std::integral T>
+std::string encode(T v) {
+  return std::to_string(v);
+}
+
+void decode(const std::string& t, double& v) {
+  char* end = nullptr;
+  v = std::strtod(t.c_str(), &end);
+  RESIPE_REQUIRE(end && *end == '\0', "repro JSON: bad number '" << t << "'");
+}
+void decode(const std::string& t, bool& v) {
   RESIPE_REQUIRE(t == "true" || t == "false",
                  "repro JSON: bad boolean '" << t << "'");
-  return t == "true";
+  v = t == "true";
 }
+void decode(const std::string& t, std::string& v) { v = t; }
+template <std::integral T>
+void decode(const std::string& t, T& v) {
+  v = static_cast<T>(to_u64(t));
+}
+
+/// A number, boolean or string member, encoded by its type.
+template <typename Get>
+FieldCodec field(const char* key, Get get) {
+  return {key, [get](const ReproRecord& r) { return encode(get(r)); },
+          [get](ReproRecord& r, const std::string& v) { decode(v, get(r)); }};
+}
+
+/// A 64-bit seed, written as a string (see serialize.hpp).
+template <typename Get>
+FieldCodec seed(const char* key, Get get) {
+  return {key,
+          [get](const ReproRecord& r) {
+            return json::quote(std::to_string(get(r)));
+          },
+          [get](ReproRecord& r, const std::string& v) { decode(v, get(r)); }};
+}
+
+/// An enum member, written as one of `names`.
+template <typename E, typename Get>
+FieldCodec choice(const char* key, Get get,
+                  std::vector<std::pair<E, const char*>> names) {
+  return {key,
+          [get, names](const ReproRecord& r) {
+            const auto it = std::find_if(
+                names.begin(), names.end(),
+                [&r, &get](const auto& n) { return n.first == get(r); });
+            return json::quote(it->second);
+          },
+          [get, names, key](ReproRecord& r, const std::string& v) {
+            const auto it =
+                std::find_if(names.begin(), names.end(),
+                             [&v](const auto& n) { return v == n.second; });
+            RESIPE_REQUIRE(it != names.end(), "unknown " << key << " '" << v
+                                                  << "' in repro record");
+            get(r) = it->first;
+          }};
+}
+
+const std::vector<FieldCodec>& fields() {
+  static const std::vector<FieldCodec> table = {
+      field("schema_version", FIELD(spec.descriptor.schema_version)),
+      seed("seed", FIELD(spec.descriptor.seed)),
+      field("contract", FIELD(contract)),
+      field("detail", FIELD(detail)),
+      field("rows", FIELD(spec.rows)),
+      field("cols", FIELD(spec.cols)),
+      field("inputs", FIELD(spec.inputs)),
+      {"layers",
+       [](const ReproRecord& r) {
+         std::string arr = "[";
+         for (std::size_t i = 0; i < r.spec.layers.size(); ++i) {
+           arr += (i ? ", " : "") + std::to_string(r.spec.layers[i]);
+         }
+         return arr + "]";
+       },
+       nullptr},  // an array: repro_from_json parses it itself
+      field("classes", FIELD(spec.classes)),
+      field("batch", FIELD(spec.batch)),
+      field("tile_rows", CFG(tile_rows)),
+      field("tile_cols", CFG(tile_cols)),
+      choice<SignedMapping>(
+          "mapping", CFG(mapping),
+          {{SignedMapping::kDifferentialPair, "differential_pair"},
+           {SignedMapping::kComplementaryPair, "complementary_pair"},
+           {SignedMapping::kOffsetColumn, "offset_column"}}),
+      field("quantize_spikes", CFG(quantize_spikes)),
+      field("calibration_headroom", CFG(calibration_headroom)),
+      field("input_scale_margin", CFG(input_scale_margin)),
+      seed("program_seed", CFG(program_seed)),
+      field("model_wire_ir_drop", CFG(model_wire_ir_drop)),
+      field("wire_r_wordline", CFG(wires.r_wordline_segment)),
+      field("wire_r_bitline", CFG(wires.r_bitline_segment)),
+      field("retention_time", CFG(retention_time)),
+      field("circuit_v_s", CFG(circuit.v_s)),
+      field("circuit_r_gd", CFG(circuit.r_gd)),
+      field("circuit_c_gd", CFG(circuit.c_gd)),
+      field("circuit_c_cog", CFG(circuit.c_cog)),
+      field("circuit_slice_length", CFG(circuit.slice_length)),
+      field("circuit_comp_stage", CFG(circuit.comp_stage)),
+      field("circuit_spike_width", CFG(circuit.spike_width)),
+      field("circuit_clock_period", CFG(circuit.clock_period)),
+      field("circuit_comparator_offset", CFG(circuit.comparator_offset)),
+      field("circuit_comparator_delay", CFG(circuit.comparator_delay)),
+      field("circuit_comparator_offset_sigma",
+            CFG(circuit.comparator_offset_sigma)),
+      choice<TransferModel>(
+          "circuit_model", CFG(circuit.model),
+          {{TransferModel::kExact, "exact"},
+           {TransferModel::kLinear, "linear"}}),
+      field("device_r_lrs", CFG(device.r_lrs)),
+      field("device_r_hrs", CFG(device.r_hrs)),
+      field("device_levels", CFG(device.levels)),
+      field("device_write_verify_tolerance",
+            CFG(device.write_verify_tolerance)),
+      field("device_variation_sigma", CFG(device.variation_sigma)),
+      field("device_read_noise_sigma", CFG(device.read_noise_sigma)),
+      field("device_stuck_lrs_rate", CFG(device.stuck_lrs_rate)),
+      field("device_stuck_hrs_rate", CFG(device.stuck_hrs_rate)),
+      field("device_drift_nu", CFG(device.drift_nu)),
+      field("device_drift_t0", CFG(device.drift_t0)),
+      field("device_transistor_r_on", CFG(device.transistor_r_on)),
+      field("rel_enabled", CFG(reliability.enabled)),
+      field("rel_stuck_lrs_rate", CFG(reliability.faults.stuck_lrs_rate)),
+      field("rel_stuck_hrs_rate", CFG(reliability.faults.stuck_hrs_rate)),
+      field("rel_cluster_fraction", CFG(reliability.faults.cluster_fraction)),
+      field("rel_cluster_size", CFG(reliability.faults.cluster_size)),
+      field("rel_read_disturb_rate", CFG(reliability.read_disturb_rate)),
+      field("rel_expected_mvms", CFG(reliability.expected_mvms)),
+      field("rel_endurance_cycles", CFG(reliability.endurance_cycles)),
+      field("rel_wear_cycles", CFG(reliability.wear_cycles)),
+      field("rel_mapper_rail_tolerance",
+            CFG(reliability.mapper.rail_tolerance)),
+      field("rel_mapper_reads_per_cell",
+            CFG(reliability.mapper.reads_per_cell)),
+      field("rel_mapper_miss_rate", CFG(reliability.mapper.miss_rate)),
+      field("rel_mapper_false_alarm_rate",
+            CFG(reliability.mapper.false_alarm_rate)),
+      field("rel_mit_enabled", CFG(reliability.mitigation.enabled)),
+      field("rel_mit_spare_cols", CFG(reliability.mitigation.spare_cols)),
+      field("rel_mit_remap_columns", CFG(reliability.mitigation.remap_columns)),
+      field("rel_mit_compensate_pairs",
+            CFG(reliability.mitigation.compensate_pairs)),
+      field("rel_mit_write_verify_retries",
+            CFG(reliability.mitigation.write_verify_retries)),
+      field("rel_mit_degrade_threshold",
+            CFG(reliability.mitigation.degrade_threshold)),
+      seed("rel_fault_seed", CFG(reliability.fault_seed)),
+      field("insp_enabled", CFG(introspect.enabled)),
+      field("insp_max_probe_vectors", CFG(introspect.max_probe_vectors)),
+      field("insp_max_attribution_vectors",
+            CFG(introspect.max_attribution_vectors)),
+      field("insp_attribute_error", CFG(introspect.attribute_error)),
+      field("insp_accuracy_attribution", CFG(introspect.accuracy_attribution)),
+      field("insp_energy_ledger", CFG(introspect.energy_ledger)),
+      field("insp_spike_time_bins", CFG(introspect.spike_time_bins)),
+      field("insp_activity_threshold", CFG(introspect.activity_threshold)),
+      field("serve_queue_capacity", FIELD(spec.serve.queue_capacity)),
+      field("serve_batch_max", FIELD(spec.serve.batch_max)),
+      field("serve_batch_window", FIELD(spec.serve.batch_window)),
+      field("serve_default_deadline", FIELD(spec.serve.default_deadline)),
+      field("serve_retry_max", FIELD(spec.serve.retry_max)),
+      field("serve_backoff_base", FIELD(spec.serve.backoff_base)),
+      field("serve_backoff_multiplier", FIELD(spec.serve.backoff_multiplier)),
+      field("serve_backoff_max", FIELD(spec.serve.backoff_max)),
+      field("serve_backoff_jitter", FIELD(spec.serve.backoff_jitter)),
+      field("serve_canary_period", FIELD(spec.serve.health.canary_period)),
+      field("serve_canary_images", FIELD(spec.serve.health.canary_images)),
+      field("serve_max_canary_mismatch",
+            FIELD(spec.serve.health.max_canary_mismatch)),
+      field("serve_logit_rmse_limit",
+            FIELD(spec.serve.health.logit_rmse_limit)),
+      field("serve_quarantine_after",
+            FIELD(spec.serve.health.quarantine_after)),
+      field("serve_readmit_after", FIELD(spec.serve.health.readmit_after)),
+      seed("serve_seed", FIELD(spec.serve.seed)),
+      field("events_enabled", CFG(events.enabled)),
+  };
+  return table;
+}
+
+#undef CFG
+#undef FIELD
 
 }  // namespace
 
 std::string repro_to_json(const ReproRecord& record) {
-  const CaseSpec& s = record.spec;
-  const auto& cfg = s.config;
+  const std::vector<FieldCodec>& table = fields();
   std::ostringstream os;
   os << "{\n";
-  const auto field = [&os](const char* key, const std::string& value,
-                           bool last = false) {
-    os << "  \"" << key << "\": " << value << (last ? "\n" : ",\n");
-  };
-  field("schema_version", std::to_string(s.descriptor.schema_version));
-  field("seed", quoted(std::to_string(s.descriptor.seed)));
-  field("contract", quoted(record.contract));
-  field("detail", quoted(record.detail));
-  field("rows", std::to_string(s.rows));
-  field("cols", std::to_string(s.cols));
-  field("inputs", std::to_string(s.inputs));
-  {
-    std::string arr = "[";
-    for (std::size_t i = 0; i < s.layers.size(); ++i) {
-      arr += (i ? ", " : "") + std::to_string(s.layers[i]);
-    }
-    arr += "]";
-    field("layers", arr);
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    os << "  " << json::quote(table[i].key) << ": " << table[i].write(record)
+       << (i + 1 < table.size() ? ",\n" : "\n");
   }
-  field("classes", std::to_string(s.classes));
-  field("batch", std::to_string(s.batch));
-  field("tile_rows", std::to_string(cfg.tile_rows));
-  field("tile_cols", std::to_string(cfg.tile_cols));
-  field("mapping", quoted(mapping_name(cfg.mapping)));
-  field("quantize_spikes", cfg.quantize_spikes ? "true" : "false");
-  field("calibration_headroom", num(cfg.calibration_headroom));
-  field("input_scale_margin", num(cfg.input_scale_margin));
-  field("program_seed", quoted(std::to_string(cfg.program_seed)));
-  field("model_wire_ir_drop", cfg.model_wire_ir_drop ? "true" : "false");
-  field("wire_r_wordline", num(cfg.wires.r_wordline_segment));
-  field("wire_r_bitline", num(cfg.wires.r_bitline_segment));
-  field("retention_time", num(cfg.retention_time));
-  field("circuit_v_s", num(cfg.circuit.v_s));
-  field("circuit_r_gd", num(cfg.circuit.r_gd));
-  field("circuit_c_gd", num(cfg.circuit.c_gd));
-  field("circuit_c_cog", num(cfg.circuit.c_cog));
-  field("circuit_slice_length", num(cfg.circuit.slice_length));
-  field("circuit_comp_stage", num(cfg.circuit.comp_stage));
-  field("circuit_spike_width", num(cfg.circuit.spike_width));
-  field("circuit_clock_period", num(cfg.circuit.clock_period));
-  field("circuit_comparator_offset", num(cfg.circuit.comparator_offset));
-  field("circuit_comparator_delay", num(cfg.circuit.comparator_delay));
-  field("circuit_comparator_offset_sigma",
-        num(cfg.circuit.comparator_offset_sigma));
-  field("circuit_model",
-        quoted(cfg.circuit.model == TransferModel::kLinear ? "linear"
-                                                           : "exact"));
-  field("device_r_lrs", num(cfg.device.r_lrs));
-  field("device_r_hrs", num(cfg.device.r_hrs));
-  field("device_levels", std::to_string(cfg.device.levels));
-  field("device_write_verify_tolerance",
-        num(cfg.device.write_verify_tolerance));
-  field("device_variation_sigma", num(cfg.device.variation_sigma));
-  field("device_read_noise_sigma", num(cfg.device.read_noise_sigma));
-  field("device_stuck_lrs_rate", num(cfg.device.stuck_lrs_rate));
-  field("device_stuck_hrs_rate", num(cfg.device.stuck_hrs_rate));
-  field("device_drift_nu", num(cfg.device.drift_nu));
-  field("device_drift_t0", num(cfg.device.drift_t0));
-  field("device_transistor_r_on", num(cfg.device.transistor_r_on));
-  field("rel_enabled", cfg.reliability.enabled ? "true" : "false");
-  field("rel_stuck_lrs_rate", num(cfg.reliability.faults.stuck_lrs_rate));
-  field("rel_stuck_hrs_rate", num(cfg.reliability.faults.stuck_hrs_rate));
-  field("rel_cluster_fraction",
-        num(cfg.reliability.faults.cluster_fraction));
-  field("rel_cluster_size",
-        std::to_string(cfg.reliability.faults.cluster_size));
-  field("rel_read_disturb_rate", num(cfg.reliability.read_disturb_rate));
-  field("rel_expected_mvms", num(cfg.reliability.expected_mvms));
-  field("rel_endurance_cycles", num(cfg.reliability.endurance_cycles));
-  field("rel_wear_cycles", num(cfg.reliability.wear_cycles));
-  field("rel_mapper_rail_tolerance",
-        num(cfg.reliability.mapper.rail_tolerance));
-  field("rel_mapper_reads_per_cell",
-        std::to_string(cfg.reliability.mapper.reads_per_cell));
-  field("rel_mapper_miss_rate", num(cfg.reliability.mapper.miss_rate));
-  field("rel_mapper_false_alarm_rate",
-        num(cfg.reliability.mapper.false_alarm_rate));
-  field("rel_mit_enabled",
-        cfg.reliability.mitigation.enabled ? "true" : "false");
-  field("rel_mit_spare_cols",
-        std::to_string(cfg.reliability.mitigation.spare_cols));
-  field("rel_mit_remap_columns",
-        cfg.reliability.mitigation.remap_columns ? "true" : "false");
-  field("rel_mit_compensate_pairs",
-        cfg.reliability.mitigation.compensate_pairs ? "true" : "false");
-  field("rel_mit_write_verify_retries",
-        std::to_string(cfg.reliability.mitigation.write_verify_retries));
-  field("rel_mit_degrade_threshold",
-        num(cfg.reliability.mitigation.degrade_threshold));
-  field("rel_fault_seed", quoted(std::to_string(cfg.reliability.fault_seed)));
-  field("insp_enabled", cfg.introspect.enabled ? "true" : "false");
-  field("insp_max_probe_vectors",
-        std::to_string(cfg.introspect.max_probe_vectors));
-  field("insp_max_attribution_vectors",
-        std::to_string(cfg.introspect.max_attribution_vectors));
-  field("insp_attribute_error",
-        cfg.introspect.attribute_error ? "true" : "false");
-  field("insp_accuracy_attribution",
-        cfg.introspect.accuracy_attribution ? "true" : "false");
-  field("insp_energy_ledger",
-        cfg.introspect.energy_ledger ? "true" : "false");
-  field("insp_spike_time_bins",
-        std::to_string(cfg.introspect.spike_time_bins));
-  field("insp_activity_threshold", num(cfg.introspect.activity_threshold));
-  field("serve_queue_capacity", std::to_string(cfg.serve.queue_capacity));
-  field("serve_batch_max", std::to_string(cfg.serve.batch_max));
-  field("serve_batch_window", num(cfg.serve.batch_window));
-  field("serve_default_deadline", num(cfg.serve.default_deadline));
-  field("serve_retry_max", std::to_string(cfg.serve.retry_max));
-  field("serve_backoff_base", num(cfg.serve.backoff_base));
-  field("serve_backoff_multiplier", num(cfg.serve.backoff_multiplier));
-  field("serve_backoff_max", num(cfg.serve.backoff_max));
-  field("serve_backoff_jitter", num(cfg.serve.backoff_jitter));
-  field("serve_canary_period", num(cfg.serve.health.canary_period));
-  field("serve_canary_images",
-        std::to_string(cfg.serve.health.canary_images));
-  field("serve_max_canary_mismatch",
-        num(cfg.serve.health.max_canary_mismatch));
-  field("serve_logit_rmse_limit", num(cfg.serve.health.logit_rmse_limit));
-  field("serve_quarantine_after",
-        std::to_string(cfg.serve.health.quarantine_after));
-  field("serve_readmit_after",
-        std::to_string(cfg.serve.health.readmit_after));
-  field("serve_seed", quoted(std::to_string(cfg.serve.seed)));
-  field("events_enabled", cfg.events.enabled ? "true" : "false",
-        /*last=*/true);
   os << "}\n";
   return os.str();
 }
 
 ReproRecord repro_from_json(const std::string& json) {
+  const std::vector<FieldCodec>& table = fields();
   ReproRecord record;
-  CaseSpec& s = record.spec;
-  auto& cfg = s.config;
   Scanner sc(json);
   sc.expect('{');
   bool first = true;
@@ -300,211 +354,23 @@ ReproRecord repro_from_json(const std::string& json) {
 
     if (key == "layers") {
       sc.expect('[');
-      s.layers.clear();
+      record.spec.layers.clear();
       while (sc.peek() != ']') {
-        if (!s.layers.empty()) sc.expect(',');
-        s.layers.push_back(static_cast<std::size_t>(to_u64(sc.token())));
+        if (!record.spec.layers.empty()) sc.expect(',');
+        record.spec.layers.push_back(
+            static_cast<std::size_t>(to_u64(sc.token())));
       }
       sc.expect(']');
       continue;
     }
 
-    std::string v;
-    if (sc.peek() == '"') {
-      v = sc.string_value();
-    } else {
-      v = sc.token();
-    }
-
-    if (key == "schema_version") {
-      s.descriptor.schema_version = static_cast<std::uint32_t>(to_u64(v));
-    } else if (key == "seed") {
-      s.descriptor.seed = to_u64(v);
-    } else if (key == "contract") {
-      record.contract = v;
-    } else if (key == "detail") {
-      record.detail = v;
-    } else if (key == "rows") {
-      s.rows = static_cast<std::size_t>(to_u64(v));
-    } else if (key == "cols") {
-      s.cols = static_cast<std::size_t>(to_u64(v));
-    } else if (key == "inputs") {
-      s.inputs = static_cast<std::size_t>(to_u64(v));
-    } else if (key == "classes") {
-      s.classes = static_cast<std::size_t>(to_u64(v));
-    } else if (key == "batch") {
-      s.batch = static_cast<std::size_t>(to_u64(v));
-    } else if (key == "tile_rows") {
-      cfg.tile_rows = static_cast<std::size_t>(to_u64(v));
-    } else if (key == "tile_cols") {
-      cfg.tile_cols = static_cast<std::size_t>(to_u64(v));
-    } else if (key == "mapping") {
-      cfg.mapping = mapping_from(v);
-    } else if (key == "quantize_spikes") {
-      cfg.quantize_spikes = to_bool(v);
-    } else if (key == "calibration_headroom") {
-      cfg.calibration_headroom = to_double(v);
-    } else if (key == "input_scale_margin") {
-      cfg.input_scale_margin = to_double(v);
-    } else if (key == "program_seed") {
-      cfg.program_seed = to_u64(v);
-    } else if (key == "model_wire_ir_drop") {
-      cfg.model_wire_ir_drop = to_bool(v);
-    } else if (key == "wire_r_wordline") {
-      cfg.wires.r_wordline_segment = to_double(v);
-    } else if (key == "wire_r_bitline") {
-      cfg.wires.r_bitline_segment = to_double(v);
-    } else if (key == "retention_time") {
-      cfg.retention_time = to_double(v);
-    } else if (key == "circuit_v_s") {
-      cfg.circuit.v_s = to_double(v);
-    } else if (key == "circuit_r_gd") {
-      cfg.circuit.r_gd = to_double(v);
-    } else if (key == "circuit_c_gd") {
-      cfg.circuit.c_gd = to_double(v);
-    } else if (key == "circuit_c_cog") {
-      cfg.circuit.c_cog = to_double(v);
-    } else if (key == "circuit_slice_length") {
-      cfg.circuit.slice_length = to_double(v);
-    } else if (key == "circuit_comp_stage") {
-      cfg.circuit.comp_stage = to_double(v);
-    } else if (key == "circuit_spike_width") {
-      cfg.circuit.spike_width = to_double(v);
-    } else if (key == "circuit_clock_period") {
-      cfg.circuit.clock_period = to_double(v);
-    } else if (key == "circuit_comparator_offset") {
-      cfg.circuit.comparator_offset = to_double(v);
-    } else if (key == "circuit_comparator_delay") {
-      cfg.circuit.comparator_delay = to_double(v);
-    } else if (key == "circuit_comparator_offset_sigma") {
-      cfg.circuit.comparator_offset_sigma = to_double(v);
-    } else if (key == "circuit_model") {
-      RESIPE_REQUIRE(v == "exact" || v == "linear",
-                     "unknown transfer model '" << v << "' in repro record");
-      cfg.circuit.model =
-          v == "linear" ? TransferModel::kLinear : TransferModel::kExact;
-    } else if (key == "device_r_lrs") {
-      cfg.device.r_lrs = to_double(v);
-    } else if (key == "device_r_hrs") {
-      cfg.device.r_hrs = to_double(v);
-    } else if (key == "device_levels") {
-      cfg.device.levels = static_cast<int>(to_u64(v));
-    } else if (key == "device_write_verify_tolerance") {
-      cfg.device.write_verify_tolerance = to_double(v);
-    } else if (key == "device_variation_sigma") {
-      cfg.device.variation_sigma = to_double(v);
-    } else if (key == "device_read_noise_sigma") {
-      cfg.device.read_noise_sigma = to_double(v);
-    } else if (key == "device_stuck_lrs_rate") {
-      cfg.device.stuck_lrs_rate = to_double(v);
-    } else if (key == "device_stuck_hrs_rate") {
-      cfg.device.stuck_hrs_rate = to_double(v);
-    } else if (key == "device_drift_nu") {
-      cfg.device.drift_nu = to_double(v);
-    } else if (key == "device_drift_t0") {
-      cfg.device.drift_t0 = to_double(v);
-    } else if (key == "device_transistor_r_on") {
-      cfg.device.transistor_r_on = to_double(v);
-    } else if (key == "rel_enabled") {
-      cfg.reliability.enabled = to_bool(v);
-    } else if (key == "rel_stuck_lrs_rate") {
-      cfg.reliability.faults.stuck_lrs_rate = to_double(v);
-    } else if (key == "rel_stuck_hrs_rate") {
-      cfg.reliability.faults.stuck_hrs_rate = to_double(v);
-    } else if (key == "rel_cluster_fraction") {
-      cfg.reliability.faults.cluster_fraction = to_double(v);
-    } else if (key == "rel_cluster_size") {
-      cfg.reliability.faults.cluster_size =
-          static_cast<std::size_t>(to_u64(v));
-    } else if (key == "rel_read_disturb_rate") {
-      cfg.reliability.read_disturb_rate = to_double(v);
-    } else if (key == "rel_expected_mvms") {
-      cfg.reliability.expected_mvms = to_double(v);
-    } else if (key == "rel_endurance_cycles") {
-      cfg.reliability.endurance_cycles = to_double(v);
-    } else if (key == "rel_wear_cycles") {
-      cfg.reliability.wear_cycles = to_double(v);
-    } else if (key == "rel_mapper_rail_tolerance") {
-      cfg.reliability.mapper.rail_tolerance = to_double(v);
-    } else if (key == "rel_mapper_reads_per_cell") {
-      cfg.reliability.mapper.reads_per_cell =
-          static_cast<std::size_t>(to_u64(v));
-    } else if (key == "rel_mapper_miss_rate") {
-      cfg.reliability.mapper.miss_rate = to_double(v);
-    } else if (key == "rel_mapper_false_alarm_rate") {
-      cfg.reliability.mapper.false_alarm_rate = to_double(v);
-    } else if (key == "rel_mit_enabled") {
-      cfg.reliability.mitigation.enabled = to_bool(v);
-    } else if (key == "rel_mit_spare_cols") {
-      cfg.reliability.mitigation.spare_cols =
-          static_cast<std::size_t>(to_u64(v));
-    } else if (key == "rel_mit_remap_columns") {
-      cfg.reliability.mitigation.remap_columns = to_bool(v);
-    } else if (key == "rel_mit_compensate_pairs") {
-      cfg.reliability.mitigation.compensate_pairs = to_bool(v);
-    } else if (key == "rel_mit_write_verify_retries") {
-      cfg.reliability.mitigation.write_verify_retries =
-          static_cast<int>(to_u64(v));
-    } else if (key == "rel_mit_degrade_threshold") {
-      cfg.reliability.mitigation.degrade_threshold = to_double(v);
-    } else if (key == "rel_fault_seed") {
-      cfg.reliability.fault_seed = to_u64(v);
-    } else if (key == "insp_enabled") {
-      cfg.introspect.enabled = to_bool(v);
-    } else if (key == "insp_max_probe_vectors") {
-      cfg.introspect.max_probe_vectors =
-          static_cast<std::size_t>(to_u64(v));
-    } else if (key == "insp_max_attribution_vectors") {
-      cfg.introspect.max_attribution_vectors =
-          static_cast<std::size_t>(to_u64(v));
-    } else if (key == "insp_attribute_error") {
-      cfg.introspect.attribute_error = to_bool(v);
-    } else if (key == "insp_accuracy_attribution") {
-      cfg.introspect.accuracy_attribution = to_bool(v);
-    } else if (key == "insp_energy_ledger") {
-      cfg.introspect.energy_ledger = to_bool(v);
-    } else if (key == "insp_spike_time_bins") {
-      cfg.introspect.spike_time_bins = static_cast<std::size_t>(to_u64(v));
-    } else if (key == "insp_activity_threshold") {
-      cfg.introspect.activity_threshold = to_double(v);
-    } else if (key == "serve_queue_capacity") {
-      cfg.serve.queue_capacity = static_cast<std::size_t>(to_u64(v));
-    } else if (key == "serve_batch_max") {
-      cfg.serve.batch_max = static_cast<std::size_t>(to_u64(v));
-    } else if (key == "serve_batch_window") {
-      cfg.serve.batch_window = to_double(v);
-    } else if (key == "serve_default_deadline") {
-      cfg.serve.default_deadline = to_double(v);
-    } else if (key == "serve_retry_max") {
-      cfg.serve.retry_max = static_cast<int>(to_u64(v));
-    } else if (key == "serve_backoff_base") {
-      cfg.serve.backoff_base = to_double(v);
-    } else if (key == "serve_backoff_multiplier") {
-      cfg.serve.backoff_multiplier = to_double(v);
-    } else if (key == "serve_backoff_max") {
-      cfg.serve.backoff_max = to_double(v);
-    } else if (key == "serve_backoff_jitter") {
-      cfg.serve.backoff_jitter = to_double(v);
-    } else if (key == "serve_canary_period") {
-      cfg.serve.health.canary_period = to_double(v);
-    } else if (key == "serve_canary_images") {
-      cfg.serve.health.canary_images = static_cast<std::size_t>(to_u64(v));
-    } else if (key == "serve_max_canary_mismatch") {
-      cfg.serve.health.max_canary_mismatch = to_double(v);
-    } else if (key == "serve_logit_rmse_limit") {
-      cfg.serve.health.logit_rmse_limit = to_double(v);
-    } else if (key == "serve_quarantine_after") {
-      cfg.serve.health.quarantine_after =
-          static_cast<std::size_t>(to_u64(v));
-    } else if (key == "serve_readmit_after") {
-      cfg.serve.health.readmit_after = static_cast<std::size_t>(to_u64(v));
-    } else if (key == "serve_seed") {
-      cfg.serve.seed = to_u64(v);
-    } else if (key == "events_enabled") {
-      cfg.events.enabled = to_bool(v);
-    } else {
-      RESIPE_REQUIRE(false, "unknown key '" << key << "' in repro record");
-    }
+    const std::string v = sc.peek() == '"' ? sc.string_value() : sc.token();
+    const auto it =
+        std::find_if(table.begin(), table.end(),
+                     [&key](const FieldCodec& f) { return key == f.key; });
+    RESIPE_REQUIRE(it != table.end(),
+                   "unknown key '" << key << "' in repro record");
+    it->read(record, v);
   }
   sc.expect('}');
   return record;

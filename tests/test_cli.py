@@ -3,18 +3,36 @@
 
 Unknown commands, unknown per-command options, and flags missing their
 value must all fail fast with a usage message and exit code 2 — never
-fall through to a default run.  Run as:
+fall through to a default run.  The trace and metrics JSON a run
+writes must parse under a strict reader.  Run as:
 
     test_cli.py /path/to/resipe_cli
 """
+import json
+import os
 import subprocess
 import sys
+import tempfile
 
 
 def run(cli, *args):
     return subprocess.run(
         [cli, *args], capture_output=True, text=True, timeout=300
     )
+
+
+def strict_json(path):
+    """Parses `path` as strict JSON: no NaN/Infinity tokens and no raw
+    control characters inside strings.  Returns None when it fails."""
+    def reject(token):
+        raise ValueError(f"non-standard constant {token}")
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, parse_constant=reject, strict=True)
+    except (OSError, ValueError) as exc:
+        print(f"  {path}: {exc}", file=sys.stderr)
+        return None
 
 
 def main():
@@ -79,6 +97,24 @@ def main():
     # Valid global flag placement still works.
     r = run(cli, "--threads", "1", "yield", "--bound", "0.02")
     check("global flag before command exits 0", r.returncode == 0)
+
+    # Telemetry exports: both files must be strict JSON.
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = os.path.join(tmp, "t.json")
+        metrics = os.path.join(tmp, "m.json")
+        r = run(cli, "--trace", trace, "--metrics", metrics, "quickstart")
+        check("traced quickstart exits 0", r.returncode == 0)
+        doc = strict_json(trace)
+        check(
+            "trace JSON parses strictly",
+            doc is not None and len(doc.get("traceEvents", [])) > 0,
+        )
+        doc = strict_json(metrics)
+        check(
+            "metrics JSON parses strictly",
+            doc is not None
+            and set(doc) == {"counters", "gauges", "histograms"},
+        )
 
     if failures:
         print(f"{len(failures)} failure(s): {failures}", file=sys.stderr)

@@ -96,68 +96,68 @@ bool responses_identical(const std::vector<Response>& a,
   return true;
 }
 
-// --- ServeConfig validation (via EngineConfig::validate, matching the
-// fuzzer's generator-range == validate-domain invariant) --------------
+// --- ServeConfig validation (the domain the fuzzer's generator draws
+// from; ChipPool and Scheduler enforce it on construction) ------------
 
-TEST(ServeConfig, ValidatesThroughEngineConfig) {
-  EngineConfig cfg;
+TEST(ServeConfig, ValidateRejectsEveryOutOfDomainKnob) {
+  ServeConfig cfg;
   EXPECT_NO_THROW(cfg.validate());
 
-  cfg.serve.queue_capacity = 0;  // a zero-capacity queue cannot serve
+  cfg.queue_capacity = 0;  // a zero-capacity queue cannot serve
   EXPECT_THROW(cfg.validate(), Error);
-  cfg.serve = ServeConfig{};
+  cfg = ServeConfig{};
 
-  cfg.serve.batch_max = 0;
+  cfg.batch_max = 0;
   EXPECT_THROW(cfg.validate(), Error);
-  cfg.serve = ServeConfig{};
+  cfg = ServeConfig{};
 
-  cfg.serve.default_deadline = 0.0;
+  cfg.default_deadline = 0.0;
   EXPECT_THROW(cfg.validate(), Error);
-  cfg.serve.default_deadline = -1.0;
+  cfg.default_deadline = -1.0;
   EXPECT_THROW(cfg.validate(), Error);
-  cfg.serve = ServeConfig{};
+  cfg = ServeConfig{};
 
-  cfg.serve.retry_max = -1;
+  cfg.retry_max = -1;
   EXPECT_THROW(cfg.validate(), Error);
-  cfg.serve.retry_max = ServeConfig::kRetryCeiling + 1;
+  cfg.retry_max = ServeConfig::kRetryCeiling + 1;
   EXPECT_THROW(cfg.validate(), Error);
-  cfg.serve.retry_max = ServeConfig::kRetryCeiling;
+  cfg.retry_max = ServeConfig::kRetryCeiling;
   EXPECT_NO_THROW(cfg.validate());
-  cfg.serve = ServeConfig{};
+  cfg = ServeConfig{};
 
-  cfg.serve.backoff_base = 0.0;
+  cfg.backoff_base = 0.0;
   EXPECT_THROW(cfg.validate(), Error);
-  cfg.serve = ServeConfig{};
+  cfg = ServeConfig{};
 
-  cfg.serve.backoff_multiplier = 0.5;
+  cfg.backoff_multiplier = 0.5;
   EXPECT_THROW(cfg.validate(), Error);
-  cfg.serve = ServeConfig{};
+  cfg = ServeConfig{};
 
-  cfg.serve.backoff_max = cfg.serve.backoff_base / 2.0;
+  cfg.backoff_max = cfg.backoff_base / 2.0;
   EXPECT_THROW(cfg.validate(), Error);
-  cfg.serve = ServeConfig{};
+  cfg = ServeConfig{};
 
-  cfg.serve.backoff_jitter = 1.5;
+  cfg.backoff_jitter = 1.5;
   EXPECT_THROW(cfg.validate(), Error);
-  cfg.serve = ServeConfig{};
+  cfg = ServeConfig{};
 
-  cfg.serve.health.canary_period = 0.0;
+  cfg.health.canary_period = 0.0;
   EXPECT_THROW(cfg.validate(), Error);
-  cfg.serve = ServeConfig{};
+  cfg = ServeConfig{};
 
-  cfg.serve.health.canary_images = 0;
+  cfg.health.canary_images = 0;
   EXPECT_THROW(cfg.validate(), Error);
-  cfg.serve = ServeConfig{};
+  cfg = ServeConfig{};
 
-  cfg.serve.health.max_canary_mismatch = 1.5;
+  cfg.health.max_canary_mismatch = 1.5;
   EXPECT_THROW(cfg.validate(), Error);
-  cfg.serve = ServeConfig{};
+  cfg = ServeConfig{};
 
-  cfg.serve.health.quarantine_after = 0;
+  cfg.health.quarantine_after = 0;
   EXPECT_THROW(cfg.validate(), Error);
-  cfg.serve = ServeConfig{};
+  cfg = ServeConfig{};
 
-  cfg.serve.health.readmit_after = 0;
+  cfg.health.readmit_after = 0;
   EXPECT_THROW(cfg.validate(), Error);
 }
 

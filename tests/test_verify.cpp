@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <fstream>
 #include <sstream>
 #include <tuple>
@@ -163,6 +164,128 @@ TEST(Serialize, RejectsUnknownKeys) {
                Error);
 }
 
+TEST(Serialize, ReproBytesArePinned) {
+  const ReproRecord record{case_for_seed(7), "fast_vs_tile",
+                           "col 3: got 1.5 want 1.25"};
+  EXPECT_EQ(repro_to_json(record), R"json({
+  "schema_version": 3,
+  "seed": "7",
+  "contract": "fast_vs_tile",
+  "detail": "col 3: got 1.5 want 1.25",
+  "rows": 12,
+  "cols": 8,
+  "inputs": 7,
+  "layers": [11],
+  "classes": 2,
+  "batch": 2,
+  "tile_rows": 4,
+  "tile_cols": 16,
+  "mapping": "differential_pair",
+  "quantize_spikes": true,
+  "calibration_headroom": 0.50001562687658518,
+  "input_scale_margin": 1.4467663784458162,
+  "program_seed": "10977003866165182763",
+  "model_wire_ir_drop": true,
+  "wire_r_wordline": 2.5,
+  "wire_r_bitline": 2.5,
+  "retention_time": 0,
+  "circuit_v_s": 1,
+  "circuit_r_gd": 825010.15725106641,
+  "circuit_c_gd": 1e-13,
+  "circuit_c_cog": 1e-13,
+  "circuit_slice_length": 1.0000000000000001e-07,
+  "circuit_comp_stage": 2.0000000000000001e-09,
+  "circuit_spike_width": 1.0000000000000001e-09,
+  "circuit_clock_period": 1.0000000000000001e-09,
+  "circuit_comparator_offset": 0,
+  "circuit_comparator_delay": 0,
+  "circuit_comparator_offset_sigma": 0,
+  "circuit_model": "linear",
+  "device_r_lrs": 10000,
+  "device_r_hrs": 1000000,
+  "device_levels": 32,
+  "device_write_verify_tolerance": 0.01,
+  "device_variation_sigma": 0,
+  "device_read_noise_sigma": 0.0055201100397560968,
+  "device_stuck_lrs_rate": 0,
+  "device_stuck_hrs_rate": 0,
+  "device_drift_nu": 0,
+  "device_drift_t0": 1,
+  "device_transistor_r_on": 637.66405949918749,
+  "rel_enabled": false,
+  "rel_stuck_lrs_rate": 0.0070338114032803328,
+  "rel_stuck_hrs_rate": 0.019691776683743115,
+  "rel_cluster_fraction": 0.5,
+  "rel_cluster_size": 4,
+  "rel_read_disturb_rate": 0,
+  "rel_expected_mvms": 0,
+  "rel_endurance_cycles": 0,
+  "rel_wear_cycles": 0,
+  "rel_mapper_rail_tolerance": 0.25,
+  "rel_mapper_reads_per_cell": 3,
+  "rel_mapper_miss_rate": 0,
+  "rel_mapper_false_alarm_rate": 0,
+  "rel_mit_enabled": true,
+  "rel_mit_spare_cols": 4,
+  "rel_mit_remap_columns": true,
+  "rel_mit_compensate_pairs": true,
+  "rel_mit_write_verify_retries": 5,
+  "rel_mit_degrade_threshold": 0.10000000000000001,
+  "rel_fault_seed": "11842684166857534732",
+  "insp_enabled": false,
+  "insp_max_probe_vectors": 2,
+  "insp_max_attribution_vectors": 128,
+  "insp_attribute_error": true,
+  "insp_accuracy_attribution": true,
+  "insp_energy_ledger": true,
+  "insp_spike_time_bins": 9,
+  "insp_activity_threshold": 0,
+  "serve_queue_capacity": 41,
+  "serve_batch_max": 1,
+  "serve_batch_window": 0.00056476347490837014,
+  "serve_default_deadline": 0.10438731370498232,
+  "serve_retry_max": 0,
+  "serve_backoff_base": 4.2939682370610331e-05,
+  "serve_backoff_multiplier": 2.9981274463361478,
+  "serve_backoff_max": 0.004027193322428505,
+  "serve_backoff_jitter": 0.80600611340770312,
+  "serve_canary_period": 0.0015169559341498583,
+  "serve_canary_images": 5,
+  "serve_max_canary_mismatch": 0.34100525826679762,
+  "serve_logit_rmse_limit": 0.99812012228188052,
+  "serve_quarantine_after": 2,
+  "serve_readmit_after": 4,
+  "serve_seed": "8719388779251943004",
+  "events_enabled": true
+}
+)json");
+}
+
+TEST(Serialize, EveryControlByteAndInfinityRoundTrip) {
+  std::string text;
+  for (int c = 1; c < 0x20; ++c) text += static_cast<char>(c);
+  text += "\"\\";
+  ReproRecord record{case_for_seed(5), text, "detail: " + text};
+  record.spec.serve.health.logit_rmse_limit =
+      std::numeric_limits<double>::infinity();
+  ASSERT_NO_THROW(record.spec.serve.validate());
+  const std::string json = repro_to_json(record);
+  for (const char c : json) {
+    EXPECT_TRUE(c == '\n' || static_cast<unsigned char>(c) >= 0x20)
+        << "raw control byte " << int{c} << " in the record";
+  }
+  const ReproRecord parsed = repro_from_json(json);
+  EXPECT_EQ(parsed.contract, record.contract);
+  EXPECT_EQ(parsed.detail, record.detail);
+  EXPECT_EQ(parsed.spec.serve.health.logit_rmse_limit,
+            record.spec.serve.health.logit_rmse_limit);
+  EXPECT_EQ(repro_to_json(parsed), json);
+}
+
+TEST(Serialize, RejectsUnknownEscape) {
+  EXPECT_THROW(repro_from_json("{\"contract\": \"a\\qb\"}"), Error);
+}
+
 TEST(Corpus, EveryCommittedCaseReplaysClean) {
   const std::filesystem::path dir(RESIPE_CORPUS_DIR);
   ASSERT_TRUE(std::filesystem::is_directory(dir)) << dir;
@@ -193,8 +316,8 @@ TEST(Fuzzer, ReportAggregatesAndBenchLineIsStable) {
   EXPECT_EQ(report.cases_run, 20u);
   EXPECT_EQ(report.violations(), 0u);
   EXPECT_GT(report.checks(), 0u);
-  EXPECT_NE(report.bench_json().find("\"bench\": \"verify_fuzz\""),
-            std::string::npos);
+  EXPECT_TRUE(report.bench_json().starts_with(
+      "BENCH_JSON {\"bench\":\"verify_fuzz\""));
 }
 
 TEST(Fuzzer, ContractFilterRestrictsChecks) {
