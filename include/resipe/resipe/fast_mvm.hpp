@@ -83,9 +83,10 @@ class FastMvm {
 
   /// Reusable scratch for mvm_times_batch.  Hoist one per worker (e.g.
   /// thread_local) so steady-state batched MVMs never touch the heap.
-  /// Layout is an implementation detail of the selected kernel path.
+  /// v_wl is what wordline_stage hands column_stage; the rest is an
+  /// implementation detail of the selected kernel path.
   struct BatchScratch {
-    aligned_vector v_wl;      // wordline voltages (padded per sample)
+    aligned_vector v_wl;      // wordline voltages, [n, rows padded]
     aligned_vector weighted;  // per-column current sums
     aligned_vector t_cols;    // padded per-sample outputs (SIMD path)
   };
@@ -98,6 +99,23 @@ class FastMvm {
   /// per matrix load.
   void mvm_times_batch(std::span<const double> t_in, std::size_t n,
                        std::span<double> t_out, BatchScratch& scratch) const;
+
+  /// mvm_times_batch is exactly wordline_stage followed by
+  /// column_stage.  The split lets tiles that share a row range reuse
+  /// one S1 result, as the tiles of one row block share their wordline
+  /// drive in hardware.
+  ///
+  /// S1: writes the wordline voltages of n samples (`t_in` row-major
+  /// [n, rows]) into `scratch.v_wl`, one padded slot per sample.
+  void wordline_stage(std::span<const double> t_in, std::size_t n,
+                      BatchScratch& scratch) const;
+
+  /// Dot products + S2 over the n samples staged in `scratch.v_wl`,
+  /// writing row-major [n, cols] spike times.  Any FastMvm with the same
+  /// row count and circuit params may have staged them; the voltages
+  /// are left in place for the next tile.
+  void column_stage(std::size_t n, std::span<double> t_out,
+                    BatchScratch& scratch) const;
 
   /// Event-driven recovery for a group with no input events: every
   /// wordline held 0 V for the whole slice, so only the per-column
@@ -142,9 +160,8 @@ class FastMvm {
 
   void mvm_times_scalar(std::span<const double> t_in,
                         std::span<double> t_out) const;
-  void mvm_times_batch_scalar(std::span<const double> t_in, std::size_t n,
-                              std::span<double> t_out,
-                              BatchScratch& scratch) const;
+  void column_stage_scalar(std::size_t n, std::span<double> t_out,
+                           BatchScratch& scratch) const;
   void mvm_times_sparse_scalar(std::span<const double> t_in,
                                std::span<const std::uint32_t> active_rows,
                                std::span<double> t_out) const;
@@ -164,9 +181,8 @@ class FastMvm {
 
   void mvm_times_simd(std::span<const double> t_in,
                       std::span<double> t_out) const;
-  void mvm_times_batch_simd(std::span<const double> t_in, std::size_t n,
-                            std::span<double> t_out,
-                            BatchScratch& scratch) const;
+  void column_stage_simd(std::size_t n, std::span<double> t_out,
+                         BatchScratch& scratch) const;
   void mvm_times_sparse_simd(std::span<const double> t_in,
                              std::span<const std::uint32_t> active_rows,
                              std::span<double> t_out) const;

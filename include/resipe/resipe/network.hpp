@@ -182,9 +182,12 @@ class ProgrammedMatrix {
   /// thread_local) so steady-state batched inference never allocates.
   struct BatchWorkspace {
     std::vector<double> t_in;       // [n, in] encoded spike times
-    std::vector<double> t_rows;     // [n, block.rows] staged block input
-    std::vector<double> t_out;      // [n, block.slots] block spike times
+    std::vector<double> t_rows;     // [n, rows] staged row-block input
+    std::vector<double> t_out;      // block spike times: [n, slots] per
+                                    // tile of one row block, in order
     std::vector<double> recovered;  // [n, physical cols] current-sums
+    FastMvm::aligned_vector lanes;  // recovery: g_total, k, then [n,
+                                    // block cols], each padded
     FastMvm::BatchScratch mvm;
     events::EventQueue queue;       // event path only
     events::EventExecutor exec;     // event path only
@@ -192,10 +195,26 @@ class ProgrammedMatrix {
 
   /// Batched forward: x is row-major [n, in], y row-major [n, out].
   /// Bit-identical per sample to n forward() calls.  With events off
-  /// each block runs once over the whole batch through
-  /// FastMvm::mvm_times_batch; with events on each sample runs through
-  /// the event executor.  All scratch lives in `ws`.
+  /// each row block computes its wordline voltages once over the whole
+  /// batch (FastMvm::wordline_stage) and every tile of the row block
+  /// runs its columns on them (FastMvm::column_stage); with events on
+  /// each sample runs through the event executor.  All scratch lives
+  /// in `ws`.  Equals encode() followed by forward_times().
   void forward_batch(std::span<const double> x, std::size_t n,
+                     std::span<double> y, BatchWorkspace& ws) const;
+
+  /// Encodes activations into input spike times, element by element:
+  /// t[i] depends on x[i] alone, so x may be any slice of activations
+  /// (the conv path encodes a whole image plane once and gathers
+  /// patches of times from it).  Adds the number of entries the
+  /// [0, input_scale] clamp engaged on to `*clamped` when it is
+  /// non-null.  Throws resipe::Error on a non-finite entry.
+  void encode(std::span<const double> x, std::span<double> t,
+              std::uint64_t* clamped = nullptr) const;
+
+  /// forward_batch on inputs already encoded by encode(): `t` is
+  /// row-major [n, in] spike times.
+  void forward_times(std::span<const double> t, std::size_t n,
                      std::span<double> y, BatchWorkspace& ws) const;
 
   /// Analytic voltage-domain forward (no time quantization, no slice
@@ -243,26 +262,29 @@ class ProgrammedMatrix {
     std::unique_ptr<FastMvm> mvm;
   };
 
-  /// Writes alpha * clamp(x / input_scale, 0, 1) for one input vector
-  /// into `scaled` and returns how many entries the clamp engaged on.
+  /// Writes alpha * clamp(x / input_scale, 0, 1) element-wise into
+  /// `scaled` and returns how many entries the clamp engaged on.
   /// Throws resipe::Error on a non-finite entry.
   std::uint64_t scale_input(std::span<const double> x,
                             std::span<double> scaled) const;
-  /// Encodes n input vectors (row-major [n, in]) into spike times t;
-  /// adds the clamp count to `*clamped` when it is non-null.
-  void encode(std::span<const double> x, std::size_t n, std::span<double> t,
-              std::uint64_t* clamped) const;
-  /// Adds one block's recovered current-sums (sum_i V_i G_ij) for one
-  /// vector: t_out holds the block's output spike times per physical
-  /// slot, `recovered` the vector's physical-column accumulators.
-  /// Books every data column into `probe` when it is non-null.
-  void recover(const Block& block, const double* t_out, double* recovered,
+  /// Adds one block's recovered current-sums (sum_i V_i G_ij) for n
+  /// vectors: t_out holds the block's output spike times, row-major
+  /// [n, slots], `recovered` the vectors' physical-column accumulators,
+  /// row-major [n, physical cols].  Books every data column into
+  /// `probe` when it is non-null.  `lanes` is scratch.
+  void recover(const Block& block, std::size_t n, const double* t_out,
+               double* recovered, FastMvm::aligned_vector& lanes,
                ProbeStats* probe) const;
-  /// The one matrix forward behind forward, forward_probed and
-  /// forward_batch: encode, every block in order (dense over the batch,
-  /// or event-driven per vector), recover, decode.
+  /// encode() then run_times(): the one matrix forward behind forward,
+  /// forward_probed and forward_batch.
   void run(std::span<const double> x, std::size_t n, std::span<double> y,
            BatchWorkspace& ws, ProbeStats* probe) const;
+  /// The one block loop, on encoded inputs: every block in order (dense
+  /// per row block over the batch, or event-driven per vector),
+  /// recover, decode.
+  void run_times(std::span<const double> t, std::size_t n,
+                 std::span<double> y, BatchWorkspace& ws,
+                 ProbeStats* probe) const;
   /// Converts accumulated recovered sums + bias into outputs.
   void decode(std::span<const double> recovered, std::span<double> y) const;
 

@@ -33,6 +33,8 @@ void save_weights(Sequential& model, const std::string& path) {
     out.write(reinterpret_cast<const char*>(data.data()),
               static_cast<std::streamsize>(data.size() * sizeof(double)));
   }
+  // A full disk only shows once the buffered bytes reach the file.
+  out.flush();
   RESIPE_REQUIRE(out.good(), "write to '" << path << "' failed");
 }
 

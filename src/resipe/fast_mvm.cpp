@@ -173,16 +173,8 @@ void FastMvm::mvm_times_scalar(std::span<const double> t_in,
   RESIPE_TELEM_COUNT("resipe_core.fast_mvm.silent_outputs", silent);
 }
 
-void FastMvm::mvm_times_batch_scalar(std::span<const double> t_in,
-                                     std::size_t n, std::span<double> t_out,
-                                     BatchScratch& scratch) const {
-  // S1 for every sample up front.
-  scratch.v_wl.resize(n * rows_);
-  for (std::size_t s = 0; s < n; ++s) {
-    wordline_voltages(t_in.subspan(s * rows_, rows_),
-                      scratch.v_wl.data() + s * rows_);
-  }
-
+void FastMvm::column_stage_scalar(std::size_t n, std::span<double> t_out,
+                                  BatchScratch& scratch) const {
   // Computation stage + S2, column-outer so each column's weights are
   // loaded once and the dot product / recovery chain runs contiguously
   // across samples.
@@ -197,7 +189,7 @@ void FastMvm::mvm_times_batch_scalar(std::span<const double> t_in,
     }
     const double* gc = g_cm_.data() + c * rows_pad_;
     for (std::size_t s = 0; s < n; ++s) {
-      const double* vs = scratch.v_wl.data() + s * rows_;
+      const double* vs = scratch.v_wl.data() + s * rows_pad_;
       double weighted = 0.0;
       for (std::size_t r = 0; r < rows_; ++r) {
         weighted += vs[r] * gc[r];
@@ -342,21 +334,8 @@ void FastMvm::mvm_times_simd(std::span<const double> t_in,
   RESIPE_TELEM_COUNT("resipe_core.fast_mvm.silent_outputs", silent);
 }
 
-void FastMvm::mvm_times_batch_simd(std::span<const double> t_in,
-                                   std::size_t n, std::span<double> t_out,
-                                   BatchScratch& scratch) const {
-  // S1: padded wordline voltages per sample.  Same kernel as the
-  // single-sample path, so every element is bitwise identical to it.
-  thread_local aligned_vector t_pad;
-  t_pad.resize(rows_pad_);
-  scratch.v_wl.resize(n * rows_pad_);
-  for (std::size_t s = 0; s < n; ++s) {
-    const auto sample = t_in.subspan(s * rows_, rows_);
-    std::copy(sample.begin(), sample.end(), t_pad.begin());
-    std::fill(t_pad.begin() + rows_, t_pad.end(), kNoSpike);
-    wordline_voltages_simd(t_pad.data(), scratch.v_wl.data() + s * rows_pad_);
-  }
-
+void FastMvm::column_stage_simd(std::size_t n, std::span<double> t_out,
+                                BatchScratch& scratch) const {
   scratch.weighted.resize(kSampleGroup * cols_pad_);
   scratch.t_cols.resize(n * cols_pad_);
   std::size_t silent = 0;
@@ -604,10 +583,40 @@ void FastMvm::mvm_times_batch(std::span<const double> t_in, std::size_t n,
   RESIPE_REQUIRE(t_in.size() == n * rows_ && t_out.size() == n * cols_,
                  "FastMvm batch size mismatch");
   if (n == 0) return;
+  wordline_stage(t_in, n, scratch);
+  column_stage(n, t_out, scratch);
+}
+
+void FastMvm::wordline_stage(std::span<const double> t_in, std::size_t n,
+                             BatchScratch& scratch) const {
+  RESIPE_REQUIRE(t_in.size() == n * rows_, "FastMvm batch size mismatch");
+  scratch.v_wl.resize(n * rows_pad_);
+  for (std::size_t s = 0; s < n; ++s) {
+    const auto sample = t_in.subspan(s * rows_, rows_);
+    double* v = scratch.v_wl.data() + s * rows_pad_;
+    if (simd::enabled()) {
+      // In place over the padded slot; padding lanes carry kNoSpike so
+      // their voltages come out 0.
+      std::copy(sample.begin(), sample.end(), v);
+      std::fill(v + rows_, v + rows_pad_, kNoSpike);
+      wordline_voltages_simd(v, v);
+    } else {
+      wordline_voltages(sample, v);
+    }
+  }
+}
+
+void FastMvm::column_stage(std::size_t n, std::span<double> t_out,
+                           BatchScratch& scratch) const {
+  RESIPE_REQUIRE(scratch.v_wl.size() == n * rows_pad_ &&
+                     t_out.size() == n * cols_,
+                 "FastMvm column stage needs n staged samples of this "
+                 "tile's row count");
+  if (n == 0) return;
   if (simd::enabled()) {
-    mvm_times_batch_simd(t_in, n, t_out, scratch);
+    column_stage_simd(n, t_out, scratch);
   } else {
-    mvm_times_batch_scalar(t_in, n, t_out, scratch);
+    column_stage_scalar(n, t_out, scratch);
   }
 }
 

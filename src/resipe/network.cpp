@@ -6,6 +6,8 @@
 
 #include "resipe/common/error.hpp"
 #include "resipe/common/parallel.hpp"
+#include "resipe/common/simd.hpp"
+#include "resipe/perf/work_model.hpp"
 #include "resipe/reliability/fault_mapper.hpp"
 #include "resipe/telemetry/telemetry.hpp"
 
@@ -378,7 +380,7 @@ std::uint64_t ProgrammedMatrix::scale_input(std::span<const double> x,
   // the loop still vectorizes like the bare clamp.
   std::uint64_t non_finite = 0;
   std::uint64_t clamped = 0;
-  for (std::size_t i = 0; i < in_; ++i) {
+  for (std::size_t i = 0; i < x.size(); ++i) {
     non_finite += !std::isfinite(x[i]);
     const double ratio = x[i] / input_scale_;
     clamped += (ratio < 0.0) | (ratio > 1.0);
@@ -390,17 +392,19 @@ std::uint64_t ProgrammedMatrix::scale_input(std::span<const double> x,
   return clamped;
 }
 
-void ProgrammedMatrix::encode(std::span<const double> x, std::size_t n,
-                              std::span<double> t,
+void ProgrammedMatrix::encode(std::span<const double> x, std::span<double> t,
                               std::uint64_t* clamped) const {
-  // Scale one vector at a time, then batch-encode it so the
-  // ramp-inversion chain runs through the SIMD codec kernel.
+  RESIPE_REQUIRE(x.size() == t.size(), "encode span size mismatch");
+  // Scale, then batch-encode so the ramp-inversion chain runs through
+  // the SIMD codec kernel, one input vector's worth at a time: the
+  // scratch stays the size of one vector whatever the length.
   thread_local std::vector<double> scaled;
-  scaled.resize(in_);
   std::uint64_t engaged = 0;
-  for (std::size_t s = 0; s < n; ++s) {
-    engaged += scale_input(x.subspan(s * in_, in_), scaled);
-    codec_.encode_times(scaled, t.subspan(s * in_, in_));
+  for (std::size_t i = 0; i < x.size(); i += in_) {
+    const std::size_t m = std::min(in_, x.size() - i);
+    scaled.resize(m);
+    engaged += scale_input(x.subspan(i, m), scaled);
+    codec_.encode_times(scaled, t.subspan(i, m));
   }
   if (clamped != nullptr) *clamped += engaged;
 }
@@ -440,25 +444,79 @@ ProgrammedMatrix::BatchWorkspace& local_workspace() {
 
 }  // namespace
 
-void ProgrammedMatrix::recover(const Block& block, const double* t_out,
-                               double* recovered, ProbeStats* probe) const {
+void ProgrammedMatrix::recover(const Block& block, std::size_t n,
+                               const double* t_out, double* recovered,
+                               FastMvm::aligned_vector& lanes,
+                               ProbeStats* probe) const {
+  // One lane-wise pass over the block's [n, cols] outputs computing
+  // ramp_voltage(t) * g_total / k.  Every vector op is IEEE-exact per
+  // lane and exp runs through libm once per lane, so each sum is
+  // bitwise what the scalar expression gives on any backend.
+  using simd::vdouble;
+  constexpr std::size_t kW = simd::native_lanes;
   const auto& params = config_.circuit;
+  const std::size_t cols_pad = simd::pad_to_lanes(block.cols);
+  const std::size_t lane_count = n * cols_pad;
   const bool remapped = !block.slot_of_col.empty();
+  const bool linear = params.model == circuits::TransferModel::kLinear;
+  lanes.resize(2 * cols_pad + lane_count);
+  double* g_total = lanes.data();
+  double* k_col = g_total + cols_pad;
+  double* times = k_col + cols_pad;
+
+  // Stage every data column from the bitline it lives on (fault-aware
+  // placement may have moved it onto a spare slot): its g_total and k
+  // trims, zero-padded (k = 0 lanes add nothing), then its n output
+  // times, booking the probes.
+  std::fill(g_total, times, 0.0);
   for (std::size_t c = 0; c < block.cols; ++c) {
-    // Fault-aware placement may have moved this data column onto a
-    // spare slot; read the bitline it actually lives on.
     const std::size_t s = remapped ? block.slot_of_col[c] : c;
-    double t = t_out[s];
-    if (probe != nullptr) probe_column(*probe, t, params);
-    // A silent output line encodes "beyond full scale": the readout
-    // books the slice-boundary value.
-    if (t == FastMvm::kNoSpike) t = params.slice_length;
-    const double v_cog = params.ramp_voltage(t);
-    const double k = block.mvm->k(s);
-    const double g_total = block.mvm->g_total(s);
-    if (k > 0.0) {
-      recovered[block.col0 + c] += v_cog * g_total / k;
+    g_total[c] = block.mvm->g_total(s);
+    k_col[c] = block.mvm->k(s);
+  }
+  for (std::size_t s = 0; s < n; ++s) {
+    const double* t_row = t_out + s * block.slots;
+    double* lane = times + s * cols_pad;
+    for (std::size_t c = 0; c < block.cols; ++c) {
+      const double t = t_row[remapped ? block.slot_of_col[c] : c];
+      if (probe != nullptr) probe_column(*probe, t, params);
+      lane[c] = t;
     }
+    std::fill(lane + block.cols, lane + cols_pad, 0.0);
+  }
+
+  const vdouble zero(0.0);
+  const vdouble one(1.0);
+  const vdouble v_s(params.v_s);
+  const vdouble tau(params.tau_gd());
+  const vdouble slice(params.slice_length);
+  const vdouble no_spike(FastMvm::kNoSpike);
+  // A silent output line encodes "beyond full scale": the readout
+  // books the slice-boundary value.  The exact model stages -t / tau
+  // for libm's exp.
+  for (std::size_t i = 0; i < lane_count; i += kW) {
+    vdouble t = vdouble::load(times + i);
+    t = simd::select(t >= no_spike, slice, t);
+    (linear ? t : (zero - t) / tau).store(times + i);
+  }
+  if (!linear) {
+    for (std::size_t i = 0; i < lane_count; ++i) times[i] = std::exp(times[i]);
+  }
+  for (std::size_t s = 0; s < n; ++s) {
+    double* lane = times + s * cols_pad;
+    for (std::size_t c = 0; c < cols_pad; c += kW) {
+      const vdouble x = vdouble::load(lane + c);
+      vdouble v = linear ? v_s * x / tau : v_s * (one - x);
+      // std::clamp(v, 0, v_s), operand for operand.
+      v = simd::select(v < zero, zero, v);
+      v = simd::select(v_s < v, v_s, v);
+      const vdouble g = vdouble::load(g_total + c);
+      const vdouble k = vdouble::load(k_col + c);
+      // k <= 0 columns add nothing: the sums are never -0, so +0 is exact.
+      simd::select(k > zero, v * g / k, zero).store(lane + c);
+    }
+    double* sums = recovered + s * mapping_.cols + block.col0;
+    for (std::size_t c = 0; c < block.cols; ++c) sums[c] += lane[c];
   }
 }
 
@@ -507,16 +565,30 @@ void ProgrammedMatrix::forward_batch(std::span<const double> x, std::size_t n,
   run(x, n, y, ws, nullptr);
 }
 
+void ProgrammedMatrix::forward_times(std::span<const double> t,
+                                     std::size_t n, std::span<double> y,
+                                     BatchWorkspace& ws) const {
+  RESIPE_TELEM_SCOPE("resipe_core.matrix.forward_batch");
+  run_times(t, n, y, ws, nullptr);
+}
+
 void ProgrammedMatrix::run(std::span<const double> x, std::size_t n,
                            std::span<double> y, BatchWorkspace& ws,
                            ProbeStats* probe) const {
   RESIPE_TELEM_SCOPE("resipe_core.matrix.forward_batch");
-  RESIPE_REQUIRE(x.size() == n * in_ && y.size() == n * out_,
+  RESIPE_REQUIRE(x.size() == n * in_, "matrix forward size mismatch");
+  ws.t_in.resize(n * in_);
+  encode(x, ws.t_in, probe != nullptr ? &probe->inputs_clamped : nullptr);
+  run_times(ws.t_in, n, y, ws, probe);
+}
+
+void ProgrammedMatrix::run_times(std::span<const double> t, std::size_t n,
+                                 std::span<double> y, BatchWorkspace& ws,
+                                 ProbeStats* probe) const {
+  RESIPE_REQUIRE(t.size() == n * in_ && y.size() == n * out_,
                  "matrix forward size mismatch");
   if (n == 0) return;
   const std::size_t cols = mapping_.cols;
-  ws.t_in.resize(n * in_);
-  encode(x, n, ws.t_in, probe != nullptr ? &probe->inputs_clamped : nullptr);
   RESIPE_TELEM_COUNT("resipe_core.matrix.block_mvms", n * blocks_.size());
   ws.recovered.assign(n * cols, 0.0);
 
@@ -527,15 +599,15 @@ void ProgrammedMatrix::run(std::span<const double> x, std::size_t n,
     // bit-identical to the dense kernel on the same times.
     events::ExecStats stats;
     for (std::size_t s = 0; s < n; ++s) {
-      const std::span<const double> t_in(ws.t_in.data() + s * in_, in_);
+      const std::span<const double> t_in = t.subspan(s * in_, in_);
       ws.queue.build(t_in, config_.circuit.slice_length);
       for (const Block& block : blocks_) {
         ws.t_out.resize(block.slots);
         ws.exec.run_group(*block.mvm, ws.queue, block.row0,
                           t_in.subspan(block.row0, block.rows), ws.t_out,
                           stats);
-        recover(block, ws.t_out.data(), ws.recovered.data() + s * cols,
-                probe);
+        recover(block, 1, ws.t_out.data(), ws.recovered.data() + s * cols,
+                ws.lanes, probe);
       }
     }
     RESIPE_TELEM_COUNT("resipe_core.events.delivered",
@@ -547,18 +619,39 @@ void ProgrammedMatrix::run(std::span<const double> x, std::size_t n,
     RESIPE_TELEM_COUNT("resipe_core.events.rows_skipped",
                        stats.rows_skipped);
   } else {
-    // Dense: each block runs once over the whole batch.
-    for (const Block& block : blocks_) {
-      ws.t_rows.resize(n * block.rows);
-      for (std::size_t s = 0; s < n; ++s) {
-        const double* src = ws.t_in.data() + s * in_ + block.row0;
-        std::copy(src, src + block.rows, ws.t_rows.data() + s * block.rows);
+    // Dense: the tiles of one row block share its wordline drive, so
+    // each row block stages its rows and computes S1 once over the
+    // batch; then every tile of the row block (blocks_ is row-block
+    // major) runs its dot products and S2 on those voltages.
+    for (std::size_t b0 = 0, b1 = 0; b0 < blocks_.size(); b0 = b1) {
+      const Block& first = blocks_[b0];
+      std::size_t slots = 0;
+      for (b1 = b0; b1 < blocks_.size() && blocks_[b1].row0 == first.row0;
+           ++b1) {
+        slots += blocks_[b1].slots;
       }
-      ws.t_out.resize(n * block.slots);
-      block.mvm->mvm_times_batch(ws.t_rows, n, ws.t_out, ws.mvm);
+      ws.t_rows.resize(n * first.rows);
       for (std::size_t s = 0; s < n; ++s) {
-        recover(block, ws.t_out.data() + s * block.slots,
-                ws.recovered.data() + s * cols, probe);
+        const double* src = t.data() + s * in_ + first.row0;
+        std::copy(src, src + first.rows, ws.t_rows.data() + s * first.rows);
+      }
+      ws.t_out.resize(n * slots);
+      {
+        RESIPE_TELEM_SCOPE("resipe_core.fast_mvm.mvm_times_batch");
+        RESIPE_PERF_KERNEL("resipe_core.fast_mvm.mvm_times_batch",
+                           perf::fast_mvm_batch_cost(first.rows, slots, n));
+        first.mvm->wordline_stage(ws.t_rows, n, ws.mvm);
+        double* out = ws.t_out.data();
+        for (std::size_t b = b0; b < b1; ++b) {
+          const std::size_t len = n * blocks_[b].slots;
+          blocks_[b].mvm->column_stage(n, std::span<double>(out, len), ws.mvm);
+          out += len;
+        }
+      }
+      const double* out = ws.t_out.data();
+      for (std::size_t b = b0; b < b1; ++b) {
+        recover(blocks_[b], n, out, ws.recovered.data(), ws.lanes, probe);
+        out += n * blocks_[b].slots;
       }
     }
   }
@@ -629,32 +722,50 @@ void ProgrammedMatrix::calibrate_alpha(std::span<const double> x_batch,
   }
 }
 
+namespace {
+
+/// One im2col patch (layout matching conv_weight_matrix) from a
+/// row-major [cin, h, w] plane; taps that fall in the padding read
+/// `fill`.
+void gather_patch(const double* plane, std::size_t cin, std::size_t h,
+                  std::size_t w, std::size_t k, std::size_t stride,
+                  std::size_t pad, std::size_t r, std::size_t c, double fill,
+                  double* patch) {
+  const auto sh = static_cast<std::ptrdiff_t>(h);
+  const auto sw = static_cast<std::ptrdiff_t>(w);
+  const auto r0 = static_cast<std::ptrdiff_t>(r * stride) -
+                  static_cast<std::ptrdiff_t>(pad);
+  const auto c0 = static_cast<std::ptrdiff_t>(c * stride) -
+                  static_cast<std::ptrdiff_t>(pad);
+  const auto sk = static_cast<std::ptrdiff_t>(k);
+  for (std::size_t ic = 0; ic < cin; ++ic) {
+    const double* channel = plane + ic * h * w;
+    for (std::ptrdiff_t ir = r0; ir < r0 + sk; ++ir) {
+      if (ir < 0 || ir >= sh) {
+        patch = std::fill_n(patch, k, fill);
+        continue;
+      }
+      const double* row = channel + ir * sw;
+      for (std::ptrdiff_t icol = c0; icol < c0 + sk; ++icol) {
+        *patch++ = (icol >= 0 && icol < sw) ? row[icol] : fill;
+      }
+    }
+  }
+}
+
+}  // namespace
+
 void gather_conv_patch(const nn::Tensor& x, std::size_t img,
                        std::size_t cin, std::size_t k, std::size_t stride,
                        std::size_t pad, std::size_t r, std::size_t c,
                        std::span<double> patch) {
+  RESIPE_REQUIRE(x.rank() == 4 && img < x.dim(0) && cin <= x.dim(1),
+                 "conv patch outside the input tensor");
+  RESIPE_REQUIRE(patch.size() == cin * k * k, "conv patch size mismatch");
   const std::size_t h = x.dim(2);
   const std::size_t w = x.dim(3);
-  std::size_t idx = 0;
-  for (std::size_t ic = 0; ic < cin; ++ic) {
-    for (std::size_t kr = 0; kr < k; ++kr) {
-      const std::ptrdiff_t ir =
-          static_cast<std::ptrdiff_t>(r * stride + kr) -
-          static_cast<std::ptrdiff_t>(pad);
-      for (std::size_t kc = 0; kc < k; ++kc, ++idx) {
-        const std::ptrdiff_t icol =
-            static_cast<std::ptrdiff_t>(c * stride + kc) -
-            static_cast<std::ptrdiff_t>(pad);
-        if (ir < 0 || ir >= static_cast<std::ptrdiff_t>(h) || icol < 0 ||
-            icol >= static_cast<std::ptrdiff_t>(w)) {
-          patch[idx] = 0.0;
-        } else {
-          patch[idx] = x.at(img, ic, static_cast<std::size_t>(ir),
-                            static_cast<std::size_t>(icol));
-        }
-      }
-    }
-  }
+  gather_patch(x.data().data() + img * x.dim(1) * h * w, cin, h, w, k, stride,
+               pad, r, c, 0.0, patch.data());
 }
 
 std::vector<double> conv_weight_matrix(const nn::Conv2d& conv) {
@@ -804,24 +915,40 @@ nn::Tensor ResipeNetwork::run_conv(const Step& step,
   const std::size_t oh = (h + 2 * step.pad - step.k) / step.stride + 1;
   const std::size_t ow = (w + 2 * step.pad - step.k) / step.stride + 1;
   nn::Tensor y({n, step.cout, oh, ow});
-  const std::size_t in = step.matrix->in_features();
+  const ProgrammedMatrix& matrix = *step.matrix;
+  const std::size_t in = matrix.in_features();
+  const std::size_t plane = step.cin * h * w;
+  // The codec is element-wise, so encoding each image plane once and
+  // gathering patches of spike times equals encoding every patch;
+  // padding taps get the encoding of a zero activation.
+  const double zero = 0.0;
+  double t_pad = 0.0;
+  matrix.encode(std::span<const double>(&zero, 1),
+                std::span<double>(&t_pad, 1));
+  const double* x_data = x.data().data();
+  double* y_data = y.data().data();
   // One image per work item; each output row of ow patches runs as one
   // batched MVM.  Images write disjoint y slices.
   parallel_for(n, [&](std::size_t img) {
     thread_local ProgrammedMatrix::BatchWorkspace ws;
+    thread_local std::vector<double> t_img;
     thread_local std::vector<double> patches;
     thread_local std::vector<double> out_row;
+    t_img.resize(plane);
     patches.resize(ow * in);
     out_row.resize(ow * step.cout);
+    matrix.encode(std::span<const double>(x_data + img * plane, plane), t_img);
+    double* y_img = y_data + img * step.cout * oh * ow;
     for (std::size_t r = 0; r < oh; ++r) {
       for (std::size_t c = 0; c < ow; ++c) {
-        gather_conv_patch(x, img, step.cin, step.k, step.stride, step.pad, r,
-                          c, std::span<double>(patches.data() + c * in, in));
+        gather_patch(t_img.data(), step.cin, h, w, step.k, step.stride,
+                     step.pad, r, c, t_pad, patches.data() + c * in);
       }
-      step.matrix->forward_batch(patches, ow, out_row, ws);
+      matrix.forward_times(patches, ow, out_row, ws);
       for (std::size_t c = 0; c < ow; ++c) {
-        for (std::size_t oc = 0; oc < step.cout; ++oc)
-          y.at(img, oc, r, c) = out_row[c * step.cout + oc];
+        for (std::size_t oc = 0; oc < step.cout; ++oc) {
+          y_img[(oc * oh + r) * ow + c] = out_row[c * step.cout + oc];
+        }
       }
     }
   });

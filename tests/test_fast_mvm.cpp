@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <optional>
 
 #include "resipe/common/error.hpp"
 #include "resipe/resipe/spike_code.hpp"
@@ -160,6 +162,56 @@ TEST(FastMvm, MonotoneInInputTime) {
     ASSERT_NE(t_out[0], FastMvm::kNoSpike);
     EXPECT_GE(t_out[0], prev);
     prev = t_out[0];
+  }
+}
+
+// mvm_times_batch is wordline_stage + column_stage, and tiles of one
+// row range can share one wordline stage: 13 rows (not a multiple of
+// any vector width) across tiles of 5 and 11 columns, with silent,
+// out-of-slice and boundary input times, on both kernel paths.
+TEST(FastMvm, SharedWordlineStageMatchesBatch) {
+  const CircuitParams p = CircuitParams::nn_calibrated();
+  constexpr std::size_t kRows = 13, kN = 6;
+  Rng rng(77);
+  std::vector<FastMvm> tiles;
+  for (const std::size_t cols : {5, 11}) {
+    std::vector<double> g(kRows * cols);
+    for (double& v : g) v = rng.uniform(1e-6, 40e-6);
+    tiles.emplace_back(p, kRows, cols, g);
+  }
+  std::vector<double> offsets(11);
+  for (double& o : offsets) o = rng.normal(0.0, 1e-3);
+  tiles[1].set_column_offsets(offsets);
+
+  std::vector<double> t_in(kN * kRows);
+  for (double& t : t_in) t = rng.uniform(0.0, p.slice_length);
+  t_in[1] = FastMvm::kNoSpike;
+  t_in[kRows + 2] = 2.0 * p.slice_length;
+  t_in[2 * kRows + 3] = p.slice_length;
+  t_in[3 * kRows] = 0.0;
+
+  for (const bool scalar : {false, true}) {
+    std::optional<simd::ForceScalarGuard> force;
+    if (scalar) force.emplace();
+    FastMvm::BatchScratch shared;
+    tiles[0].wordline_stage(t_in, kN, shared);
+    const FastMvm::aligned_vector staged = shared.v_wl;
+    for (const FastMvm& tile : tiles) {
+      std::vector<double> split(kN * tile.cols());
+      tile.column_stage(kN, split, shared);
+      EXPECT_TRUE(shared.v_wl == staged) << "column stage moved the S1 result";
+
+      std::vector<double> batch(kN * tile.cols());
+      FastMvm::BatchScratch own;
+      tile.mvm_times_batch(t_in, kN, batch, own);
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        EXPECT_EQ(std::memcmp(&split[i], &batch[i], sizeof(double)), 0)
+            << "cols " << tile.cols() << " entry " << i << " scalar "
+            << scalar;
+      }
+    }
+    std::vector<double> wrong(kN * 5);
+    EXPECT_THROW(tiles[0].column_stage(kN - 1, wrong, shared), Error);
   }
 }
 

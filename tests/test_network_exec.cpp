@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <optional>
 
 #include "resipe/common/error.hpp"
 #include "resipe/common/parallel.hpp"
+#include "resipe/common/simd.hpp"
 #include "resipe/eval/fidelity.hpp"
 #include "resipe/nn/zoo.hpp"
 
@@ -397,6 +400,326 @@ TEST(ResipeNetworkStepLoop, ZooMlpEntryPointsAgree) {
 
 TEST(ResipeNetworkStepLoop, ZooCnnEntryPointsAgree) {
   expect_step_loop_identities(nn::BenchmarkNet::kCnn1);
+}
+
+// --- conv hot path: bit-identity with the per-patch route --------------
+
+/// gather_conv_patch through a checked Tensor::at per tap.
+std::vector<double> patch_by_at(const nn::Tensor& x, std::size_t img,
+                                std::size_t cin, std::size_t k,
+                                std::size_t stride, std::size_t pad,
+                                std::size_t r, std::size_t c) {
+  std::vector<double> patch;
+  for (std::size_t ic = 0; ic < cin; ++ic) {
+    for (std::size_t kr = 0; kr < k; ++kr) {
+      for (std::size_t kc = 0; kc < k; ++kc) {
+        const std::size_t ir = r * stride + kr;
+        const std::size_t icol = c * stride + kc;
+        const bool inside = ir >= pad && ir - pad < x.dim(2) && icol >= pad &&
+                            icol - pad < x.dim(3);
+        patch.push_back(inside ? x.at(img, ic, ir - pad, icol - pad) : 0.0);
+      }
+    }
+  }
+  return patch;
+}
+
+TEST(GatherConvPatch, MatchesCheckedTensorAt) {
+  Rng rng(21);
+  nn::Tensor x({2, 3, 7, 6});
+  for (std::size_t i = 0; i < x.size(); ++i) x[i] = rng.uniform(-1.0, 1.0);
+  x[5] = -0.0;  // signed zeros must survive the gather
+  for (const std::size_t stride : {1, 2}) {
+    for (const std::size_t pad : {0, 1}) {
+      for (const std::size_t cin : {2, 3}) {
+        constexpr std::size_t k = 3;
+        const std::size_t oh = (7 + 2 * pad - k) / stride + 1;
+        const std::size_t ow = (6 + 2 * pad - k) / stride + 1;
+        std::vector<double> patch(cin * k * k, 99.0);
+        for (std::size_t img = 0; img < 2; ++img) {
+          for (std::size_t r = 0; r < oh; ++r) {
+            for (std::size_t c = 0; c < ow; ++c) {
+              gather_conv_patch(x, img, cin, k, stride, pad, r, c, patch);
+              EXPECT_TRUE(bit_identical(
+                  patch, patch_by_at(x, img, cin, k, stride, pad, r, c)))
+                  << "stride " << stride << " pad " << pad << " cin " << cin
+                  << " img " << img << " at " << r << "," << c;
+            }
+          }
+        }
+      }
+    }
+  }
+  std::vector<double> short_patch(3 * 9 - 1);
+  EXPECT_THROW(gather_conv_patch(x, 0, 3, 3, 1, 0, 0, 0, short_patch), Error);
+  std::vector<double> patch(4 * 9);
+  EXPECT_THROW(gather_conv_patch(x, 0, 4, 3, 1, 0, 0, 0, patch), Error);
+  EXPECT_THROW(gather_conv_patch(x, 2, 1, 3, 1, 0, 0, 0,
+                                 std::span<double>(patch).first(9)),
+               Error);
+}
+
+/// A conv step on the per-patch route: each output position's patch
+/// gathered from the activations, encoded inside forward_batch one
+/// output row per call, and scattered through Tensor::at.
+nn::Tensor per_patch_conv(const ProgrammedMatrix& pm, const nn::Conv2d& conv,
+                          const nn::Tensor& x) {
+  const std::size_t n = x.dim(0);
+  const std::size_t oh = conv.out_size(x.dim(2));
+  const std::size_t ow = conv.out_size(x.dim(3));
+  const std::size_t in = pm.in_features();
+  const std::size_t cout = conv.out_channels();
+  nn::Tensor y({n, cout, oh, ow});
+  ProgrammedMatrix::BatchWorkspace ws;
+  std::vector<double> patches(ow * in);
+  std::vector<double> out_row(ow * cout);
+  for (std::size_t img = 0; img < n; ++img) {
+    for (std::size_t r = 0; r < oh; ++r) {
+      for (std::size_t c = 0; c < ow; ++c) {
+        gather_conv_patch(x, img, conv.in_channels(), conv.kernel(),
+                          conv.stride(), conv.pad(), r, c,
+                          std::span<double>(patches.data() + c * in, in));
+      }
+      pm.forward_batch(patches, ow, out_row, ws);
+      for (std::size_t c = 0; c < ow; ++c) {
+        for (std::size_t oc = 0; oc < cout; ++oc) {
+          y.at(img, oc, r, c) = out_row[c * cout + oc];
+        }
+      }
+    }
+  }
+  return y;
+}
+
+/// Records each step's programmed matrix (null for functional steps).
+class MatrixRecorder : public LayerObserver {
+ public:
+  std::vector<const ProgrammedMatrix*> matrices;
+  void on_step(std::size_t, nn::Layer&, const ProgrammedMatrix* matrix, bool,
+               const nn::Tensor&, const nn::Tensor&) override {
+    matrices.push_back(matrix);
+  }
+};
+
+/// ResipeNetwork::forward rebuilt on the per-patch route, serially:
+/// functional steps through their layer, dense steps as one
+/// forward_batch, conv steps through per_patch_conv.
+nn::Tensor per_patch_forward(const ResipeNetwork& net,
+                             const nn::Tensor& batch) {
+  MatrixRecorder rec;
+  net.forward_observed(batch, rec);
+  nn::Tensor h = batch;
+  for (std::size_t i = 0; i < net.step_count(); ++i) {
+    nn::Layer& layer = net.model().layer(i);
+    const ProgrammedMatrix* pm = rec.matrices[i];
+    if (pm == nullptr) {
+      h = layer.forward(h, /*train=*/false);
+    } else if (const auto* conv = dynamic_cast<const nn::Conv2d*>(&layer)) {
+      h = per_patch_conv(*pm, *conv, h);
+    } else {
+      nn::Tensor y({h.dim(0), pm->out_features()});
+      ProgrammedMatrix::BatchWorkspace ws;
+      pm->forward_batch(h.data(), h.dim(0), y.data(), ws);
+      h = std::move(y);
+    }
+  }
+  return h;
+}
+
+/// Uniform activations with every third entry a silent zero.
+nn::Tensor sparse_batch(std::vector<std::size_t> shape, Rng& rng) {
+  nn::Tensor t(std::move(shape));
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    t[i] = (i % 3 == 0) ? 0.0 : rng.uniform(0.0, 1.0);
+  }
+  return t;
+}
+
+void expect_matches_per_patch_route(const ResipeNetwork& net,
+                                    const nn::Tensor& batch) {
+  ThreadGuard restore;
+  set_default_threads(1);
+  const nn::Tensor ref = per_patch_forward(net, batch);
+  for (const std::size_t threads : {1, 2, 8}) {
+    set_default_threads(threads);
+    EXPECT_TRUE(bit_identical(net.forward(batch), ref))
+        << "threads " << threads;
+  }
+}
+
+void expect_zoo_conv_identity(nn::BenchmarkNet which, std::size_t side,
+                              std::size_t channels) {
+  Rng rng(31);
+  nn::Sequential model = nn::build_benchmark(which, rng);
+  const nn::Tensor calib = sparse_batch({4, channels, side, side}, rng);
+  const ResipeNetwork net(model, EngineConfig{}, calib);
+  expect_matches_per_patch_route(net,
+                                 sparse_batch({3, channels, side, side}, rng));
+}
+
+TEST(ConvHotPath, Cnn1MatchesPerPatchRouteAtAnyThreadCount) {
+  expect_zoo_conv_identity(nn::BenchmarkNet::kCnn1, 28, 1);
+}
+
+TEST(ConvHotPath, Cnn2MatchesPerPatchRouteAtAnyThreadCount) {
+  expect_zoo_conv_identity(nn::BenchmarkNet::kCnn2, 32, 3);
+}
+
+/// A stride-2 pad-0 conv on a 10x10 input (the last row and column are
+/// never read) into a 3x3 pad-1 conv, on 8x4 tiles: three row blocks
+/// of several column blocks each, so every wordline stage is shared.
+nn::Sequential small_conv_net(Rng& rng) {
+  nn::Sequential model("stride2-cnn");
+  model.emplace<nn::Conv2d>(2, 5, 3, 2, 0, rng);
+  model.emplace<nn::ReLU>();
+  model.emplace<nn::Conv2d>(5, 3, 3, 1, 1, rng);
+  model.emplace<nn::ReLU>();
+  model.emplace<nn::Flatten>();
+  model.emplace<nn::Dense>(3 * 4 * 4, 4, rng);
+  return model;
+}
+
+EngineConfig small_tiles(EngineConfig cfg) {
+  cfg.tile_rows = 8;
+  cfg.tile_cols = 4;
+  return cfg;
+}
+
+void expect_small_conv_identity(const EngineConfig& cfg) {
+  Rng rng(41);
+  nn::Sequential model = small_conv_net(rng);
+  const nn::Tensor calib = sparse_batch({4, 2, 10, 10}, rng);
+  const ResipeNetwork net(model, cfg, calib);
+  if (cfg.reliability.enabled) {
+    ASSERT_GT(net.reliability_stats().columns_remapped, 0u);
+  }
+  expect_matches_per_patch_route(net, sparse_batch({3, 2, 10, 10}, rng));
+}
+
+TEST(ConvHotPath, StrideTwoPadZeroMatchesPerPatchRoute) {
+  expect_small_conv_identity(small_tiles(EngineConfig{}));
+}
+
+TEST(ConvHotPath, EventDrivenMatchesPerPatchRoute) {
+  EngineConfig cfg = small_tiles(EngineConfig{});
+  cfg.events.enabled = true;
+  expect_small_conv_identity(cfg);
+}
+
+TEST(ConvHotPath, RemappedColumnsMatchPerPatchRoute) {
+  EngineConfig cfg = small_tiles(EngineConfig{});
+  cfg.reliability.enabled = true;
+  cfg.reliability.faults.stuck_lrs_rate = 0.05;
+  cfg.reliability.faults.stuck_hrs_rate = 0.05;
+  cfg.reliability.fault_seed = 2;
+  expect_small_conv_identity(cfg);
+}
+
+TEST(ConvHotPath, ComparatorOffsetsMatchPerPatchRoute) {
+  EngineConfig cfg = small_tiles(EngineConfig{});
+  cfg.circuit.comparator_offset_sigma = 1e-3;
+  expect_small_conv_identity(cfg);
+}
+
+TEST(ConvHotPath, LinearModelMatchesPerPatchRoute) {
+  expect_small_conv_identity(small_tiles(EngineConfig::ideal()));
+}
+
+TEST(ConvHotPath, ScalarKernelsMatchPerPatchRoute) {
+  const simd::ForceScalarGuard scalar;
+  expect_small_conv_identity(small_tiles(EngineConfig{}));
+  expect_zoo_conv_identity(nn::BenchmarkNet::kCnn1, 28, 1);
+}
+
+// --- the lane-wise column recovery against the scalar readout ----------
+
+/// ProgrammedMatrix::forward rebuilt from public parts, one column at a
+/// time: the constructor's programming loop (same cell model, same rng
+/// order), the codec, FastMvm::mvm_times per tile, then the scalar
+/// readout `ramp_voltage(t) * g_total / k` per column, row blocks added
+/// in order, and the decode.  Valid for configs without faults,
+/// comparator offsets, drift or wire resistance.
+std::vector<double> scalar_readout_forward(const EngineConfig& cfg,
+                                           std::span<const double> w,
+                                           std::span<const double> bias,
+                                           std::size_t in, std::size_t out,
+                                           std::uint64_t seed,
+                                           std::span<const double> x) {
+  const crossbar::MappedWeights mapping =
+      crossbar::map_weights(w, in, out, cfg.device, cfg.mapping);
+  std::vector<double> scaled(in);
+  for (std::size_t i = 0; i < in; ++i) scaled[i] = std::clamp(x[i], 0.0, 1.0);
+  std::vector<double> t_in(in);
+  const SpikeCodec codec(cfg.circuit, cfg.quantize_spikes);
+  codec.encode_times(scaled, t_in);
+
+  Rng rng(seed);
+  std::vector<double> recovered(mapping.cols, 0.0);
+  for (std::size_t row0 = 0; row0 < in; row0 += cfg.tile_rows) {
+    const std::size_t rows = std::min(cfg.tile_rows, in - row0);
+    for (std::size_t col0 = 0; col0 < mapping.cols; col0 += cfg.tile_cols) {
+      const std::size_t cols = std::min(cfg.tile_cols, mapping.cols - col0);
+      std::vector<double> g(rows * cols);
+      device::ReramCell cell;
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) {
+          cell.program(cfg.device,
+                       mapping.g_targets[(row0 + r) * mapping.cols + col0 + c],
+                       rng);
+          g[r * cols + c] = cell.effective_g(cfg.device);
+        }
+      }
+      const FastMvm tile(cfg.circuit, rows, cols, g);
+      std::vector<double> t_out(cols);
+      tile.mvm_times(std::span<const double>(t_in).subspan(row0, rows), t_out);
+      for (std::size_t c = 0; c < cols; ++c) {
+        double t = t_out[c];
+        if (t == FastMvm::kNoSpike) t = cfg.circuit.slice_length;
+        const double v_cog = cfg.circuit.ramp_voltage(t);
+        if (tile.k(c) > 0.0) {
+          recovered[col0 + c] += v_cog * tile.g_total(c) / tile.k(c);
+        }
+      }
+    }
+  }
+  const double scale = mapping.weight_per_siemens / codec.v_full();
+  std::vector<double> y(out);
+  for (std::size_t j = 0; j < out; ++j) {
+    const double diff =
+        recovered[mapping.plus_col(j)] - recovered[mapping.minus_col(j)];
+    y[j] = diff * scale + bias[j];
+  }
+  return y;
+}
+
+// 70 x 20 on the default 32 x 32 tiles: 3 row blocks of 2 tiles, so the
+// shared wordline stage and the row-block partial sums are exercised.
+TEST(ProgrammedMatrix, RecoveryMatchesScalarReadoutBitwise) {
+  constexpr std::size_t kIn = 70, kOut = 20;
+  constexpr std::uint64_t kSeed = 9;
+  Rng data(4);
+  std::vector<double> w(kIn * kOut);
+  for (double& v : w) v = data.uniform(-0.5, 0.5);
+  std::vector<double> b(kOut);
+  for (double& v : b) v = data.uniform(-0.1, 0.1);
+  std::vector<double> x(kIn);
+  for (std::size_t i = 0; i < kIn; ++i) {
+    x[i] = (i % 4 == 0) ? 0.0 : data.uniform(0.0, 1.2);  // some clamp
+  }
+  for (const bool scalar : {false, true}) {
+    std::optional<simd::ForceScalarGuard> force;
+    if (scalar) force.emplace();
+    for (const EngineConfig& cfg : {EngineConfig{}, EngineConfig::ideal()}) {
+      Rng rng(kSeed);
+      const ProgrammedMatrix pm(cfg, w, b, kIn, kOut, rng);
+      std::vector<double> y(kOut);
+      pm.forward(x, y);
+      EXPECT_TRUE(bit_identical(
+          y, scalar_readout_forward(cfg, w, b, kIn, kOut, kSeed, x)))
+          << "linear " << (cfg.circuit.model == circuits::TransferModel::kLinear)
+          << " scalar " << scalar;
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include "resipe/common/error.hpp"
@@ -63,6 +64,16 @@ TEST(Serialize, CompatibilityCheck) {
   other.emplace<Dense>(16, 9, rng);  // different layout
   EXPECT_FALSE(weights_compatible(other, f.path));
   EXPECT_THROW(load_weights(other, f.path), Error);
+}
+
+// /dev/full accepts the open and fails every write; the weights fit in
+// the stream buffer, so the failure only shows when it is flushed.
+TEST(Serialize, SaveToFullDiskThrows) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full is not available here";
+  }
+  Sequential a = make_model(1);
+  EXPECT_THROW(save_weights(a, "/dev/full"), Error);
 }
 
 TEST(Serialize, MissingFileHandled) {
