@@ -15,9 +15,7 @@
 #include <vector>
 
 #include "bench_report.hpp"
-#include "resipe/common/rng.hpp"
 #include "resipe/introspect/inspect.hpp"
-#include "resipe/nn/data.hpp"
 #include "resipe/nn/train.hpp"
 #include "resipe/nn/zoo.hpp"
 #include "resipe/resipe/network.hpp"
@@ -40,36 +38,23 @@ int main(int argc, char** argv) {
 
   std::puts("=== Introspection: disabled-path overhead + probe cost ===\n");
 
-  Rng data_rng(7);
-  Rng train_rng = data_rng.split();
-  Rng test_rng = data_rng.split();
-  const nn::Dataset train = nn::synthetic_digits(512, train_rng);
-  const nn::Dataset test = nn::synthetic_digits(96, test_rng);
-
-  Rng model_rng(0xC0FFEEull +
-                static_cast<std::uint64_t>(nn::BenchmarkNet::kMlp1));
-  nn::Sequential model = nn::build_benchmark(nn::BenchmarkNet::kMlp1,
-                                             model_rng);
-  nn::TrainConfig tc;
+  nn::TrainedBenchmarkConfig tc;
+  tc.train_samples = 512;
+  tc.test_samples = 96;
   tc.epochs = 2;
-  tc.batch_size = 32;
-  tc.lr = 1e-3;
-  const auto tr = nn::fit(model, train, test, tc);
-  std::printf("trained %s: test acc %.3f\n\n", model.name().c_str(),
-              tr.test_accuracy);
-
-  std::vector<std::size_t> calib_idx;
-  for (std::size_t i = 0; i < 48; ++i) calib_idx.push_back(i);
-  const auto [calib, calib_labels] = train.gather(calib_idx);
-  (void)calib_labels;
+  nn::TrainedBenchmark tb = nn::train_benchmark(tc);
+  const nn::Dataset& test = tb.test;
+  const nn::Tensor& calib = tb.calib;
+  std::printf("trained %s: test acc %.3f\n\n", tb.model.name().c_str(),
+              tb.fit.test_accuracy);
 
   resipe_core::EngineConfig cfg_off;
   cfg_off.device.variation_sigma = 0.1;
   resipe_core::EngineConfig cfg_on = cfg_off;
   cfg_on.introspect.enabled = true;
 
-  const resipe_core::ResipeNetwork net_off(model, cfg_off, calib);
-  const resipe_core::ResipeNetwork net_on(model, cfg_on, calib);
+  const resipe_core::ResipeNetwork net_off(tb.model, cfg_off, calib);
+  const resipe_core::ResipeNetwork net_on(tb.model, cfg_on, calib);
 
   // Half 1: bit-identity.  Same seeds, same programming — the
   // introspect knob must not perturb a single bit of the logits.

@@ -46,6 +46,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -59,7 +60,6 @@
 #include "resipe/eval/fault_tolerance.hpp"
 #include "resipe/eval/yield.hpp"
 #include "resipe/introspect/inspect.hpp"
-#include "resipe/nn/data.hpp"
 #include "resipe/nn/train.hpp"
 #include "resipe/nn/zoo.hpp"
 #include "resipe/perf/perf_counters.hpp"
@@ -81,6 +81,16 @@ const char* arg_value(int argc, char** argv, const char* name,
     if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
   }
   return fallback;
+}
+
+/// --net for the commands that train a model: the digit benchmarks.
+std::optional<nn::BenchmarkNet> digit_net(int argc, char** argv,
+                                          const char* command) {
+  const auto net =
+      nn::parse_benchmark_tag(arg_value(argc, argv, "--net", "mlp1"));
+  if (net && !nn::uses_object_dataset(*net)) return net;
+  std::fprintf(stderr, "%s supports --net mlp1|mlp2|cnn1\n", command);
+  return std::nullopt;
 }
 
 int cmd_characterize(int argc, char** argv) {
@@ -119,23 +129,17 @@ int cmd_compare() {
 
 int cmd_chip(int argc, char** argv) {
   const std::string tag = arg_value(argc, argv, "--net", "mlp2");
-  nn::BenchmarkNet net;
-  if (tag == "mlp1") net = nn::BenchmarkNet::kMlp1;
-  else if (tag == "mlp2") net = nn::BenchmarkNet::kMlp2;
-  else if (tag == "cnn1") net = nn::BenchmarkNet::kCnn1;
-  else if (tag == "cnn2") net = nn::BenchmarkNet::kCnn2;
-  else if (tag == "cnn3") net = nn::BenchmarkNet::kCnn3;
-  else if (tag == "cnn4") net = nn::BenchmarkNet::kCnn4;
-  else {
+  const auto net = nn::parse_benchmark_tag(tag);
+  if (!net) {
     std::fprintf(stderr, "unknown network '%s'\n", tag.c_str());
     return 2;
   }
   Rng rng(1);
-  nn::Sequential model = nn::build_benchmark(net, rng);
+  nn::Sequential model = nn::build_benchmark(*net, rng);
   const std::vector<std::size_t> shape =
-      nn::uses_object_dataset(net) ? std::vector<std::size_t>{3, 32, 32}
-                                   : std::vector<std::size_t>{1, 28, 28};
-  std::printf("== %s ==\n", nn::benchmark_name(net).c_str());
+      nn::uses_object_dataset(*net) ? std::vector<std::size_t>{3, 32, 32}
+                                    : std::vector<std::size_t>{1, 28, 28};
+  std::printf("== %s ==\n", nn::benchmark_name(*net).c_str());
   std::cout << resipe_core::map_network(model, shape).render();
   return 0;
 }
@@ -197,16 +201,12 @@ int cmd_yield(int argc, char** argv) {
 int cmd_reliability(int argc, char** argv) {
   eval::FaultToleranceConfig cfg;
   const std::string tag = arg_value(argc, argv, "--net", "mlp1");
-  if (tag == "mlp1") cfg.net = nn::BenchmarkNet::kMlp1;
-  else if (tag == "mlp2") cfg.net = nn::BenchmarkNet::kMlp2;
-  else if (tag == "cnn1") cfg.net = nn::BenchmarkNet::kCnn1;
-  else if (tag == "cnn2") cfg.net = nn::BenchmarkNet::kCnn2;
-  else if (tag == "cnn3") cfg.net = nn::BenchmarkNet::kCnn3;
-  else if (tag == "cnn4") cfg.net = nn::BenchmarkNet::kCnn4;
-  else {
+  const auto net = nn::parse_benchmark_tag(tag);
+  if (!net) {
     std::fprintf(stderr, "unknown network '%s'\n", tag.c_str());
     return 2;
   }
+  cfg.net = *net;
   const std::string rates = arg_value(argc, argv, "--rates", "");
   if (!rates.empty()) {
     cfg.defect_rates.clear();
@@ -248,15 +248,8 @@ int cmd_reliability(int argc, char** argv) {
 // inspection report (spike health, fidelity-drift attribution, energy
 // ledger, provenance).
 int cmd_inspect(int argc, char** argv) {
-  const std::string tag = arg_value(argc, argv, "--net", "mlp1");
-  nn::BenchmarkNet net;
-  if (tag == "mlp1") net = nn::BenchmarkNet::kMlp1;
-  else if (tag == "mlp2") net = nn::BenchmarkNet::kMlp2;
-  else if (tag == "cnn1") net = nn::BenchmarkNet::kCnn1;
-  else {
-    std::fprintf(stderr, "inspect supports --net mlp1|mlp2|cnn1\n");
-    return 2;
-  }
+  const auto net = digit_net(argc, argv, "inspect");
+  if (!net) return 2;
   const auto train_n = static_cast<std::size_t>(
       std::atoi(arg_value(argc, argv, "--train", "256")));
   const auto test_n = static_cast<std::size_t>(
@@ -272,35 +265,24 @@ int cmd_inspect(int argc, char** argv) {
     return 2;
   }
 
-  Rng data_rng(7);
-  Rng train_rng = data_rng.split();
-  Rng test_rng = data_rng.split();
-  const nn::Dataset train = nn::synthetic_digits(train_n, train_rng);
-  const nn::Dataset test = nn::synthetic_digits(test_n, test_rng);
-
-  Rng model_rng(0xC0FFEEull + static_cast<std::uint64_t>(net));
-  nn::Sequential model = nn::build_benchmark(net, model_rng);
-  nn::TrainConfig tc;
+  nn::TrainedBenchmarkConfig tc;
+  tc.net = *net;
+  tc.train_samples = train_n;
+  tc.test_samples = test_n;
   tc.epochs = epochs;
-  tc.batch_size = 32;
-  tc.lr = 1e-3;
-  const auto tr = nn::fit(model, train, test, tc);
+  nn::TrainedBenchmark tb = nn::train_benchmark(tc);
   std::printf("trained %s: train acc %.3f, test acc %.3f\n",
-              model.name().c_str(), tr.train_accuracy, tr.test_accuracy);
+              tb.model.name().c_str(), tb.fit.train_accuracy,
+              tb.fit.test_accuracy);
 
   resipe_core::EngineConfig ec;
   ec.program_seed = seed;
   ec.device.variation_sigma = sigma;
   ec.introspect.enabled = true;
-  std::vector<std::size_t> calib_idx;
-  for (std::size_t i = 0; i < std::min<std::size_t>(48, train.size()); ++i)
-    calib_idx.push_back(i);
-  auto [calib, calib_labels] = train.gather(calib_idx);
-  (void)calib_labels;
-  const resipe_core::ResipeNetwork hw(model, ec, calib);
+  const resipe_core::ResipeNetwork hw(tb.model, ec, tb.calib);
 
   const introspect::InspectionReport report =
-      introspect::inspect(hw, test.images, test.labels);
+      introspect::inspect(hw, tb.test.images, tb.test.labels);
   std::fputs(report.render_ascii().c_str(), stdout);
   if (!out.empty()) {
     report.write_json_file(out);
@@ -316,15 +298,8 @@ int cmd_inspect(int argc, char** argv) {
 // work-annotated call tree.  Verifies on the way that enabling the
 // accounting leaves the logits bit-identical.
 int cmd_profile(int argc, char** argv) {
-  const std::string tag = arg_value(argc, argv, "--net", "mlp1");
-  nn::BenchmarkNet net;
-  if (tag == "mlp1") net = nn::BenchmarkNet::kMlp1;
-  else if (tag == "mlp2") net = nn::BenchmarkNet::kMlp2;
-  else if (tag == "cnn1") net = nn::BenchmarkNet::kCnn1;
-  else {
-    std::fprintf(stderr, "profile supports --net mlp1|mlp2|cnn1\n");
-    return 2;
-  }
+  const auto net = digit_net(argc, argv, "profile");
+  if (!net) return 2;
   const auto train_n = static_cast<std::size_t>(
       std::atoi(arg_value(argc, argv, "--train", "128")));
   const auto test_n = static_cast<std::size_t>(
@@ -349,28 +324,17 @@ int cmd_profile(int argc, char** argv) {
   // same cold path as its counters.
   telemetry::set_enabled(true);
 
-  Rng data_rng(7);
-  Rng train_rng = data_rng.split();
-  Rng test_rng = data_rng.split();
-  const nn::Dataset train = nn::synthetic_digits(train_n, train_rng);
-  const nn::Dataset test = nn::synthetic_digits(test_n, test_rng);
-
-  Rng model_rng(0xC0FFEEull + static_cast<std::uint64_t>(net));
-  nn::Sequential model = nn::build_benchmark(net, model_rng);
-  nn::TrainConfig tc;
+  nn::TrainedBenchmarkConfig tc;
+  tc.net = *net;
+  tc.train_samples = train_n;
+  tc.test_samples = test_n;
   tc.epochs = epochs;
-  tc.batch_size = 32;
-  tc.lr = 1e-3;
-  (void)nn::fit(model, train, test, tc);
+  nn::TrainedBenchmark tb = nn::train_benchmark(tc);
+  const nn::Dataset& test = tb.test;
 
   resipe_core::EngineConfig ec;
   ec.program_seed = seed;
-  std::vector<std::size_t> calib_idx;
-  for (std::size_t i = 0; i < std::min<std::size_t>(48, train.size()); ++i)
-    calib_idx.push_back(i);
-  auto [calib, calib_labels] = train.gather(calib_idx);
-  (void)calib_labels;
-  const resipe_core::ResipeNetwork hw(model, ec, calib);
+  const resipe_core::ResipeNetwork hw(tb.model, ec, tb.calib);
 
   // Bit-identity sanity: accounting on must not perturb the logits.
   perf::set_accounting_enabled(false);

@@ -33,7 +33,6 @@
 #include "resipe/common/file.hpp"
 #include "resipe/common/json.hpp"
 #include "resipe/common/table.hpp"
-#include "resipe/nn/data.hpp"
 #include "resipe/nn/train.hpp"
 #include "resipe/nn/zoo.hpp"
 #include "resipe/resipe/network.hpp"
@@ -101,29 +100,16 @@ int main(int argc, char** argv) {
 
   try {
     // --- train a small model on synthetic digits.
-    Rng data_rng(7);
-    Rng train_rng = data_rng.split();
-    Rng test_rng = data_rng.split();
-    const nn::Dataset train = nn::synthetic_digits(train_n, train_rng);
-    const nn::Dataset test = nn::synthetic_digits(test_n, test_rng);
-    Rng model_rng(0xC0FFEEull);
-    nn::Sequential model =
-        nn::build_benchmark(nn::BenchmarkNet::kMlp1, model_rng);
-    nn::TrainConfig tc;
+    nn::TrainedBenchmarkConfig tc;
+    tc.train_samples = train_n;
+    tc.test_samples = test_n;
     tc.epochs = epochs;
-    tc.batch_size = 32;
-    tc.lr = 1e-3;
-    const auto tr = nn::fit(model, train, test, tc);
-    std::printf("trained %s: test acc %.3f\n", model.name().c_str(),
-                tr.test_accuracy);
+    nn::TrainedBenchmark tb = nn::train_benchmark(tc);
+    const nn::Dataset& test = tb.test;
+    std::printf("trained %s: test acc %.3f\n", tb.model.name().c_str(),
+                tb.fit.test_accuracy);
 
     // --- lower one replica per chip; chip 0 optionally defective.
-    std::vector<std::size_t> calib_idx;
-    for (std::size_t i = 0; i < std::min<std::size_t>(48, train.size()); ++i)
-      calib_idx.push_back(i);
-    auto [calib, calib_labels] = train.gather(calib_idx);
-    (void)calib_labels;
-
     std::vector<resipe_core::EngineConfig> replica_configs;
     for (std::size_t c = 0; c < chips; ++c) {
       resipe_core::EngineConfig ec;
@@ -140,7 +126,7 @@ int main(int argc, char** argv) {
     serve::ServeConfig scfg;
     scfg.default_deadline = deadline;
     scfg.seed = seed;
-    serve::ChipPool pool(model, calib, replica_configs, scfg);
+    serve::ChipPool pool(tb.model, tb.calib, replica_configs, scfg);
     std::printf("pool: %zu replica(s), %s defective\n", pool.size(),
                 defects > 0.0 ? "chip 0" : "none");
 

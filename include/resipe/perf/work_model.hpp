@@ -16,7 +16,7 @@
 // perf_accounting_identity fuzzer contract).
 //
 //   RESIPE_PERF_KERNEL("resipe_core.fast_mvm.mvm_times",
-//                      fast_mvm_cost(rows, cols));   // RAII: time + work
+//                      fast_mvm_batch_cost(rows, cols, 1));  // time + work
 //   RESIPE_PERF_WORK("resipe_core.spike_codec.encode",
 //                    spike_encode_cost());           // work only
 //
@@ -54,21 +54,15 @@ struct WorkCost {
 // change to a kernel's inner loop must update its model (and the test)
 // in the same commit.
 
-/// FastMvm::mvm_times, one sample over a rows x cols conductance matrix:
+/// FastMvm::mvm_times_batch over n samples of a rows x cols
+/// conductance matrix (mvm_times is n = 1).  Per sample:
 ///   S1 wordline ramp:  4 flops per row   (guard compare, exp/min ramp,
 ///                                         multiply, subtract)
 ///   current sums:      2 flops per cell  (multiply + add)
 ///   S2 recovery:      10 flops per column (v_eq, v_cog, threshold,
 ///                                          crossing log chain, delay,
 ///                                          slice compare)
-/// bytes: read t_in + write v_wl (2*rows), stream the matrix and re-read
-/// v_wl per column (2*rows*cols), per-column constants g_total/k/offset
-/// (3*cols), write t_out (cols) — all at 8 bytes.
-WorkCost fast_mvm_cost(std::size_t rows, std::size_t cols);
-
-/// FastMvm::mvm_times_batch over n samples: flops are exactly n single
-/// calls; bytes differ because each column's weights stream once per
-/// *batch*, not once per sample:
+/// bytes: each column's weights stream once per *batch*:
 ///   8 * (2*n*rows  +  rows*cols  +  n*rows*cols  +  3*cols  +  3*n*cols)
 /// (t_in/v_wl staging, one matrix pass, per-sample v_wl re-reads,
 /// per-column constants, weighted store+load and t_out stores).

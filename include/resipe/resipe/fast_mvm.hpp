@@ -12,7 +12,9 @@
 // so one MVM costs one dot product per column plus one log for the S2
 // inversion.
 //
-// Two executions of the same math live here:
+// Every dense MVM runs one pipeline, wordline_stage (S1) then
+// column_stage (computation stage + S2); a single vector is the n = 1
+// batch.  Each stage has two kernel paths:
 //
 //   * the scalar reference path — the original loops, bit-identical to
 //     ResipeTile::execute for the same programmed array (asserted by
@@ -23,9 +25,10 @@
 //     Its row sums fold in vector-lane order and its exp/log are the
 //     polynomial forms from common/simd.hpp, so outputs may differ
 //     from the reference by a bounded reassociation/rounding error.
-//     The `simd_equivalence` verify contract pins that bound; batched
-//     and single-sample SIMD calls share every kernel, so batch ==
-//     single stays bitwise exact on either path.
+//     The `simd_equivalence` verify contract pins that bound.
+//
+// Every column's sum is the same row-ascending accumulation whatever the
+// batch size, so batch == single stays bitwise exact on either path.
 #pragma once
 
 #include <cstddef>
@@ -78,7 +81,7 @@ class FastMvm {
   /// Converts input spike times (seconds, one per row; use
   /// `kNoSpike` = infinity for silent lines) into output spike times.
   /// Outputs that would fall outside the slice are reported as
-  /// `kNoSpike`.
+  /// `kNoSpike`.  Runs as the n = 1 batch on a thread-local scratch.
   void mvm_times(std::span<const double> t_in, std::span<double> t_out) const;
 
   /// Reusable scratch for mvm_times_batch.  Hoist one per worker (e.g.
@@ -93,10 +96,9 @@ class FastMvm {
 
   /// Batched mvm_times: `t_in` is row-major [n, rows], `t_out` is
   /// row-major [n, cols].  Bit-identical per sample to n calls of
-  /// mvm_times — both paths share their dot-product and recovery
-  /// kernels — but the matrix is walked in cache-sized column blocks
-  /// reused across the whole batch, with several samples accumulated
-  /// per matrix load.
+  /// mvm_times (each of which is this pipeline at n = 1), but the
+  /// matrix is walked in cache-sized column blocks reused across the
+  /// whole batch, with several samples accumulated per matrix load.
   void mvm_times_batch(std::span<const double> t_in, std::size_t n,
                        std::span<double> t_out, BatchScratch& scratch) const;
 
@@ -138,10 +140,6 @@ class FastMvm {
                         std::span<const std::uint32_t> active_rows,
                         std::span<double> t_out) const;
 
-  /// The ideal Eq.(6) linear-model times for the same inputs.
-  void ideal_times(std::span<const double> t_in,
-                   std::span<double> t_out) const;
-
   static constexpr double kNoSpike =
       std::numeric_limits<double>::infinity();
 
@@ -158,8 +156,6 @@ class FastMvm {
   double recover_time(double weighted, std::size_t col,
                       std::size_t* silent) const;
 
-  void mvm_times_scalar(std::span<const double> t_in,
-                        std::span<double> t_out) const;
   void column_stage_scalar(std::size_t n, std::span<double> t_out,
                            BatchScratch& scratch) const;
   void mvm_times_sparse_scalar(std::span<const double> t_in,
@@ -168,7 +164,7 @@ class FastMvm {
 
   // --- SIMD path -----------------------------------------------------
 
-  /// S1 over a width-padded sample: t_pad has rows_pad() entries with
+  /// S1 over a width-padded sample: t_pad has rows_pad_ entries with
   /// kNoSpike in the padding lanes, so padded v_wl lanes come out 0 and
   /// contribute nothing to any dot product.
   void wordline_voltages_simd(const double* t_pad, double* v_wl) const;
@@ -179,15 +175,11 @@ class FastMvm {
   void recover_block_simd(const double* w, std::size_t c, double* out,
                           std::size_t* silent) const;
 
-  void mvm_times_simd(std::span<const double> t_in,
-                      std::span<double> t_out) const;
   void column_stage_simd(std::size_t n, std::span<double> t_out,
                          BatchScratch& scratch) const;
   void mvm_times_sparse_simd(std::span<const double> t_in,
                              std::span<const std::uint32_t> active_rows,
                              std::span<double> t_out) const;
-
-  std::size_t rows_pad() const { return rows_pad_; }
 
   circuits::CircuitParams params_;
   std::size_t rows_ = 0;
@@ -200,7 +192,7 @@ class FastMvm {
                             // g_cm_[c * rows_pad_ + r], zero padding
                             // rows.  Column-major keeps each column's
                             // weights contiguous for the per-column
-                            // dot products (single and batched paths).
+                            // dot products.
   aligned_vector g_total_;  // per column, padded with zeros
   aligned_vector k_;        // per-column saturation factor, padded
   aligned_vector offsets_;  // per-column comparator mismatch, padded

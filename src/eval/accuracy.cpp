@@ -7,8 +7,6 @@
 #include "resipe/common/error.hpp"
 #include "resipe/common/parallel.hpp"
 #include "resipe/common/table.hpp"
-#include "resipe/nn/data.hpp"
-#include "resipe/nn/serialize.hpp"
 #include "resipe/nn/train.hpp"
 
 namespace resipe::eval {
@@ -42,16 +40,8 @@ std::size_t epochs_for(nn::BenchmarkNet net, std::size_t base) {
 
 std::string cache_path(const AccuracyConfig& cfg, nn::BenchmarkNet net) {
   if (cfg.weight_cache_dir.empty()) return {};
-  std::string tag;
-  switch (net) {
-    case nn::BenchmarkNet::kMlp1: tag = "mlp1"; break;
-    case nn::BenchmarkNet::kMlp2: tag = "mlp2"; break;
-    case nn::BenchmarkNet::kCnn1: tag = "cnn1"; break;
-    case nn::BenchmarkNet::kCnn2: tag = "cnn2"; break;
-    case nn::BenchmarkNet::kCnn3: tag = "cnn3"; break;
-    case nn::BenchmarkNet::kCnn4: tag = "cnn4"; break;
-  }
-  return cfg.weight_cache_dir + "/resipe_weights_" + tag + ".bin";
+  return cfg.weight_cache_dir + "/resipe_weights_" + nn::benchmark_tag(net) +
+         ".bin";
 }
 
 }  // namespace
@@ -60,54 +50,21 @@ NetworkAccuracy evaluate_network_accuracy(nn::BenchmarkNet net,
                                           const AccuracyConfig& cfg) {
   RESIPE_REQUIRE(!cfg.sigmas.empty() && cfg.mc_seeds >= 1,
                  "empty accuracy sweep");
-  Rng data_rng(cfg.data_seed);
   const std::size_t n_train = std::max<std::size_t>(
       64, static_cast<std::size_t>(static_cast<double>(cfg.train_samples) *
                                    train_budget_factor(net)));
-  const bool objects = nn::uses_object_dataset(net);
-  Rng train_rng = data_rng.split();
-  Rng test_rng = data_rng.split();
-  const nn::Dataset train = objects
-                                ? nn::synthetic_objects(n_train, train_rng)
-                                : nn::synthetic_digits(n_train, train_rng);
-  const nn::Dataset test =
-      objects ? nn::synthetic_objects(cfg.test_samples, test_rng)
-              : nn::synthetic_digits(cfg.test_samples, test_rng);
-
-  Rng model_rng(0xC0FFEEull + static_cast<std::uint64_t>(net));
-  nn::Sequential model = nn::build_benchmark(net, model_rng);
-
-  const std::string cache = cache_path(cfg, net);
-  if (!cache.empty() && nn::weights_compatible(model, cache)) {
-    nn::load_weights(model, cache);
-    if (cfg.verbose) std::printf("  [%s] loaded cached weights\n",
-                                 model.name().c_str());
-  } else {
-    nn::TrainConfig tc;
-    tc.epochs = epochs_for(net, cfg.epochs);
-    tc.batch_size = 32;
-    tc.lr = 1e-3;
-    tc.verbose = cfg.verbose;
-    const auto tr = nn::fit(model, train, test, tc);
-    if (cfg.verbose) {
-      std::printf("  [%s] trained: train acc %.3f, test acc %.3f\n",
-                  model.name().c_str(), tr.train_accuracy,
-                  tr.test_accuracy);
-    }
-    if (!cache.empty()) nn::save_weights(model, cache);
-  }
+  nn::TrainedBenchmark tb = nn::train_benchmark(
+      {.net = net, .data_seed = cfg.data_seed, .train_samples = n_train,
+       .test_samples = cfg.test_samples, .epochs = epochs_for(net, cfg.epochs),
+       .weight_cache = cache_path(cfg, net), .verbose = cfg.verbose});
+  nn::Sequential& model = tb.model;
+  const nn::Dataset& test = tb.test;
+  const nn::Tensor& calib = tb.calib;
 
   NetworkAccuracy row;
   row.name = nn::benchmark_name(net);
   row.software_accuracy = nn::evaluate(model, test);
   row.sigmas = cfg.sigmas;
-
-  // Calibration batch: a slice of the training set.
-  std::vector<std::size_t> calib_idx;
-  for (std::size_t i = 0; i < std::min<std::size_t>(48, train.size()); ++i)
-    calib_idx.push_back(i);
-  auto [calib, calib_labels] = train.gather(calib_idx);
-  (void)calib_labels;
 
   // Each (sigma, seed) arm is an independent Monte-Carlo chip: it
   // derives all randomness from its own program seed and only reads

@@ -1,6 +1,12 @@
 #include "resipe/nn/zoo.hpp"
 
+#include <algorithm>
+#include <cstdio>
+#include <numeric>
+
 #include "resipe/common/error.hpp"
+#include "resipe/nn/data.hpp"
+#include "resipe/nn/serialize.hpp"
 
 namespace resipe::nn {
 
@@ -14,6 +20,25 @@ std::string benchmark_name(BenchmarkNet net) {
     case BenchmarkNet::kCnn4: return "CNN-4 (VGG19-class)";
   }
   RESIPE_ASSERT(false, "unknown benchmark");
+}
+
+std::string benchmark_tag(BenchmarkNet net) {
+  switch (net) {
+    case BenchmarkNet::kMlp1: return "mlp1";
+    case BenchmarkNet::kMlp2: return "mlp2";
+    case BenchmarkNet::kCnn1: return "cnn1";
+    case BenchmarkNet::kCnn2: return "cnn2";
+    case BenchmarkNet::kCnn3: return "cnn3";
+    case BenchmarkNet::kCnn4: return "cnn4";
+  }
+  RESIPE_ASSERT(false, "unknown benchmark");
+}
+
+std::optional<BenchmarkNet> parse_benchmark_tag(std::string_view tag) {
+  for (const BenchmarkNet net : all_benchmarks()) {
+    if (benchmark_tag(net) == tag) return net;
+  }
+  return std::nullopt;
 }
 
 bool uses_object_dataset(BenchmarkNet net) {
@@ -129,6 +154,46 @@ Sequential build_benchmark(BenchmarkNet net, Rng& rng) {
 std::vector<BenchmarkNet> all_benchmarks() {
   return {BenchmarkNet::kMlp1, BenchmarkNet::kMlp2, BenchmarkNet::kCnn1,
           BenchmarkNet::kCnn2, BenchmarkNet::kCnn3, BenchmarkNet::kCnn4};
+}
+
+TrainedBenchmark train_benchmark(const TrainedBenchmarkConfig& cfg) {
+  TrainedBenchmark tb;
+  Rng data_rng(cfg.data_seed);
+  Rng train_rng = data_rng.split();
+  Rng test_rng = data_rng.split();
+  const auto synthetic =
+      uses_object_dataset(cfg.net) ? &synthetic_objects : &synthetic_digits;
+  const Dataset train = synthetic(cfg.train_samples, train_rng);
+  tb.test = synthetic(cfg.test_samples, test_rng);
+
+  Rng model_rng(0xC0FFEEull + static_cast<std::uint64_t>(cfg.net));
+  tb.model = build_benchmark(cfg.net, model_rng);
+  const std::string& cache = cfg.weight_cache;
+  if (!cache.empty() && weights_compatible(tb.model, cache)) {
+    load_weights(tb.model, cache);
+    if (cfg.verbose) {
+      std::printf("  [%s] loaded cached weights\n", tb.model.name().c_str());
+    }
+  } else {
+    TrainConfig tc;
+    tc.epochs = cfg.epochs;
+    tc.batch_size = 32;
+    tc.lr = 1e-3;
+    tc.verbose = cfg.verbose;
+    tb.fit = fit(tb.model, train, tb.test, tc);
+    if (cfg.verbose) {
+      std::printf("  [%s] trained: train acc %.3f, test acc %.3f\n",
+                  tb.model.name().c_str(), tb.fit.train_accuracy,
+                  tb.fit.test_accuracy);
+    }
+    if (!cache.empty()) save_weights(tb.model, cache);
+  }
+
+  std::vector<std::size_t> calib_idx(
+      std::min<std::size_t>(48, train.size()));
+  std::iota(calib_idx.begin(), calib_idx.end(), std::size_t{0});
+  tb.calib = train.gather(calib_idx).first;
+  return tb;
 }
 
 }  // namespace resipe::nn

@@ -31,20 +31,12 @@ void set_accounting_enabled(bool on) noexcept {
 
 // --- analytic models (constants documented in the header) --------------
 
-WorkCost fast_mvm_cost(std::size_t rows, std::size_t cols) {
-  const double r = static_cast<double>(rows);
-  const double c = static_cast<double>(cols);
-  return {4.0 * r + 2.0 * r * c + 10.0 * c,
-          8.0 * (2.0 * r + 2.0 * r * c + 3.0 * c + c)};
-}
-
 WorkCost fast_mvm_batch_cost(std::size_t rows, std::size_t cols,
                              std::size_t n) {
   const double r = static_cast<double>(rows);
   const double c = static_cast<double>(cols);
   const double s = static_cast<double>(n);
-  const WorkCost single = fast_mvm_cost(rows, cols);
-  return {s * single.flops,
+  return {s * (4.0 * r + 2.0 * r * c + 10.0 * c),
           8.0 * (2.0 * s * r + r * c + s * r * c + 3.0 * c + 3.0 * s * c)};
 }
 

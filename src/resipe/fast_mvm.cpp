@@ -27,23 +27,22 @@ constexpr std::size_t kBlockBytes = 128 * 1024;
 /// Prefetch distance (in doubles) ahead of the streaming matrix reads.
 constexpr std::size_t kPrefetchAhead = 64;
 
+/// Row-major effective conductances of a programmed crossbar.
+std::vector<double> effective_matrix(const crossbar::Crossbar& xbar) {
+  std::vector<double> g(xbar.rows() * xbar.cols());
+  for (std::size_t r = 0; r < xbar.rows(); ++r) {
+    for (std::size_t c = 0; c < xbar.cols(); ++c) {
+      g[r * xbar.cols() + c] = xbar.effective_g(r, c);
+    }
+  }
+  return g;
+}
+
 }  // namespace
 
 FastMvm::FastMvm(const circuits::CircuitParams& params,
                  const crossbar::Crossbar& xbar)
-    : params_(params), rows_(xbar.rows()), cols_(xbar.cols()) {
-  params_.validate();
-  RESIPE_REQUIRE(rows_ > 0 && cols_ > 0,
-                 "FastMvm requires a crossbar with rows > 0 and cols > 0");
-  rows_pad_ = simd::pad_to_lanes(rows_);
-  g_cm_.assign(cols_ * rows_pad_, 0.0);
-  for (std::size_t c = 0; c < cols_; ++c) {
-    for (std::size_t r = 0; r < rows_; ++r) {
-      g_cm_[c * rows_pad_ + r] = xbar.effective_g(r, c);
-    }
-  }
-  precompute();
-}
+    : FastMvm(params, xbar.rows(), xbar.cols(), effective_matrix(xbar)) {}
 
 FastMvm::FastMvm(const circuits::CircuitParams& params, std::size_t rows,
                  std::size_t cols, std::vector<double> g_effective)
@@ -147,32 +146,6 @@ double FastMvm::recover_time(double weighted, std::size_t col,
   return kNoSpike;
 }
 
-void FastMvm::mvm_times_scalar(std::span<const double> t_in,
-                               std::span<double> t_out) const {
-  // S1: wordline voltages from the GD ramp.
-  thread_local std::vector<double> v_wl;
-  v_wl.resize(rows_);
-  wordline_voltages(t_in, v_wl.data());
-
-  // Computation stage + S2 per column.
-  std::size_t silent = 0;
-  for (std::size_t c = 0; c < cols_; ++c) {
-    if (g_total_[c] <= 0.0) {
-      // An unprogrammed column never charges: the ramp crosses 0 at t=0.
-      t_out[c] = params_.comparator_delay;
-      continue;
-    }
-    const double* gc = g_cm_.data() + c * rows_pad_;
-    double weighted = 0.0;
-    for (std::size_t r = 0; r < rows_; ++r) {
-      weighted += v_wl[r] * gc[r];
-    }
-    t_out[c] = recover_time(weighted, c, &silent);
-  }
-  RESIPE_TELEM_COUNT("resipe_core.fast_mvm.mac_ops", rows_ * cols_);
-  RESIPE_TELEM_COUNT("resipe_core.fast_mvm.silent_outputs", silent);
-}
-
 void FastMvm::column_stage_scalar(std::size_t n, std::span<double> t_out,
                                   BatchScratch& scratch) const {
   // Computation stage + S2, column-outer so each column's weights are
@@ -182,6 +155,7 @@ void FastMvm::column_stage_scalar(std::size_t n, std::span<double> t_out,
   std::size_t silent = 0;
   for (std::size_t c = 0; c < cols_; ++c) {
     if (g_total_[c] <= 0.0) {
+      // An unprogrammed column never charges: the ramp crosses 0 at t=0.
       for (std::size_t s = 0; s < n; ++s) {
         t_out[s * cols_ + c] = params_.comparator_delay;
       }
@@ -271,67 +245,6 @@ void FastMvm::recover_block_simd(const double* w, std::size_t c, double* out,
   // Silent outputs: programmed columns whose spike fell past the slice.
   const auto silent_mask = programmed & (t > slice);
   *silent += simd::mask_count(silent_mask);
-}
-
-void FastMvm::mvm_times_simd(std::span<const double> t_in,
-                             std::span<double> t_out) const {
-  thread_local aligned_vector t_pad;
-  thread_local aligned_vector v_wl;
-  thread_local aligned_vector w_pad;
-  thread_local aligned_vector out_pad;
-  t_pad.resize(rows_pad_);
-  v_wl.resize(rows_pad_);
-  w_pad.resize(cols_pad_);
-  out_pad.resize(cols_pad_);
-
-  // S1 over the padded sample; padding lanes carry kNoSpike -> v = 0.
-  std::copy(t_in.begin(), t_in.end(), t_pad.begin());
-  std::fill(t_pad.begin() + rows_, t_pad.end(), kNoSpike);
-  wordline_voltages_simd(t_pad.data(), v_wl.data());
-
-  // Per-column FMA dot products, four columns per pass so each v_wl
-  // load feeds four accumulator chains.
-  for (std::size_t c0 = 0; c0 < cols_; c0 += 4) {
-    const std::size_t nc = std::min<std::size_t>(4, cols_ - c0);
-    if (nc == 4) {
-      const double* g0 = g_cm_.data() + (c0 + 0) * rows_pad_;
-      const double* g1 = g_cm_.data() + (c0 + 1) * rows_pad_;
-      const double* g2 = g_cm_.data() + (c0 + 2) * rows_pad_;
-      const double* g3 = g_cm_.data() + (c0 + 3) * rows_pad_;
-      vdouble a0(0.0), a1(0.0), a2(0.0), a3(0.0);
-      for (std::size_t r = 0; r < rows_pad_; r += kW) {
-        const vdouble v = vdouble::load(v_wl.data() + r);
-        a0 = simd::fma(vdouble::load(g0 + r), v, a0);
-        a1 = simd::fma(vdouble::load(g1 + r), v, a1);
-        a2 = simd::fma(vdouble::load(g2 + r), v, a2);
-        a3 = simd::fma(vdouble::load(g3 + r), v, a3);
-      }
-      w_pad[c0 + 0] = simd::reduce_add(a0);
-      w_pad[c0 + 1] = simd::reduce_add(a1);
-      w_pad[c0 + 2] = simd::reduce_add(a2);
-      w_pad[c0 + 3] = simd::reduce_add(a3);
-    } else {
-      for (std::size_t j = 0; j < nc; ++j) {
-        const double* gc = g_cm_.data() + (c0 + j) * rows_pad_;
-        vdouble acc(0.0);
-        for (std::size_t r = 0; r < rows_pad_; r += kW) {
-          acc = simd::fma(vdouble::load(gc + r), vdouble::load(v_wl.data() + r),
-                          acc);
-        }
-        w_pad[c0 + j] = simd::reduce_add(acc);
-      }
-    }
-  }
-  std::fill(w_pad.begin() + cols_, w_pad.end(), 0.0);
-
-  // S2 recovery, one vector chunk of columns at a time.
-  std::size_t silent = 0;
-  for (std::size_t c = 0; c < cols_pad_; c += kW) {
-    recover_block_simd(w_pad.data() + c, c, out_pad.data() + c, &silent);
-  }
-  std::copy(out_pad.begin(), out_pad.begin() + cols_, t_out.begin());
-  RESIPE_TELEM_COUNT("resipe_core.fast_mvm.mac_ops", rows_ * cols_);
-  RESIPE_TELEM_COUNT("resipe_core.fast_mvm.silent_outputs", silent);
 }
 
 void FastMvm::column_stage_simd(std::size_t n, std::span<double> t_out,
@@ -564,14 +477,14 @@ void FastMvm::mvm_times(std::span<const double> t_in,
                         std::span<double> t_out) const {
   RESIPE_TELEM_SCOPE("resipe_core.fast_mvm.mvm_times");
   RESIPE_PERF_KERNEL("resipe_core.fast_mvm.mvm_times",
-                     perf::fast_mvm_cost(rows_, cols_));
+                     perf::fast_mvm_batch_cost(rows_, cols_, 1));
   RESIPE_REQUIRE(t_in.size() == rows_ && t_out.size() == cols_,
                  "FastMvm vector size mismatch");
-  if (simd::enabled()) {
-    mvm_times_simd(t_in, t_out);
-  } else {
-    mvm_times_scalar(t_in, t_out);
-  }
+  // The n = 1 batch.  One scratch serves every shape on this thread:
+  // wordline_stage sizes it for this tile before column_stage reads it.
+  thread_local BatchScratch scratch;
+  wordline_stage(t_in, 1, scratch);
+  column_stage(1, t_out, scratch);
 }
 
 void FastMvm::mvm_times_batch(std::span<const double> t_in, std::size_t n,
@@ -665,23 +578,6 @@ void FastMvm::mvm_times_sparse(std::span<const double> t_in,
     mvm_times_sparse_simd(t_in, active_rows, t_out);
   } else {
     mvm_times_sparse_scalar(t_in, active_rows, t_out);
-  }
-}
-
-void FastMvm::ideal_times(std::span<const double> t_in,
-                          std::span<double> t_out) const {
-  RESIPE_REQUIRE(t_in.size() == rows_ && t_out.size() == cols_,
-                 "FastMvm vector size mismatch");
-  const double gain = params_.linear_gain();
-  for (std::size_t c = 0; c < cols_; ++c) {
-    const double* gc = g_cm_.data() + c * rows_pad_;
-    double acc = 0.0;
-    for (std::size_t r = 0; r < rows_; ++r) {
-      const double t = t_in[r];
-      if (!(t >= 0.0) || t == kNoSpike) continue;
-      acc += t * gc[r];
-    }
-    t_out[c] = gain * acc;
   }
 }
 

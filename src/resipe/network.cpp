@@ -854,7 +854,6 @@ ResipeNetwork::ResipeNetwork(nn::Sequential& model,
       const std::size_t take = std::min<std::size_t>(total,
                                                      kMaxCalibVectors);
       std::vector<double> patches(take * in, 0.0);
-      std::vector<double> patch(in, 0.0);
       const std::size_t step_stride = std::max<std::size_t>(1, total / take);
       std::size_t written = 0;
       for (std::size_t pos = 0; pos < total && written < take;
@@ -863,9 +862,7 @@ ResipeNetwork::ResipeNetwork(nn::Sequential& model,
         const std::size_t rc = pos % (oh * ow);
         gather_conv_patch(h, img, conv->in_channels(), conv->kernel(),
                           conv->stride(), conv->pad(), rc / ow, rc % ow,
-                          patch);
-        std::copy(patch.begin(), patch.end(),
-                  patches.begin() + static_cast<std::ptrdiff_t>(written * in));
+                          std::span<double>(patches.data() + written * in, in));
       }
       pm->calibrate_alpha(
           std::span<const double>(patches.data(), written * in), written);

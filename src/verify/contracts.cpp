@@ -301,6 +301,9 @@ ContractResult check_fast_vs_tile(const CaseSpec& spec) {
   return ContractResult::ok();
 }
 
+// mvm_times is the n = 1 batch, so at n = 4 this pits the 4-sample
+// group kernel against the tail kernel, and at n = 2..3 the tail kernel
+// over a batch-strided scratch against the same kernel at n = 1.
 ContractResult check_fast_batch(const CaseSpec& spec) {
   Rng rng(hash_seed(spec.descriptor.seed, kStreamFastBatch));
   const std::vector<double> g = random_conductances(spec, rng);

@@ -51,15 +51,16 @@ struct PerfSwitchGuard {
 // --- analytic model hand counts ----------------------------------------
 
 TEST(WorkModel, FastMvmHandCount3x2) {
+  // One sample (mvm_times is the n = 1 batch).
   // 4 flops/row * 3 + 2 flops/cell * 6 + 10 flops/col * 2 = 44 exactly.
-  const perf::WorkCost c = perf::fast_mvm_cost(3, 2);
+  const perf::WorkCost c = perf::fast_mvm_batch_cost(3, 2, 1);
   EXPECT_EQ(c.flops, 44.0);
-  // 8 * (2*3 + 2*3*2 + 4*2) = 8 * 26 = 208.
-  EXPECT_EQ(c.bytes, 208.0);
+  // 8 * (2*3 + 3*2 + 3*2 + 3*2 + 3*2) = 8 * 30 = 240.
+  EXPECT_EQ(c.bytes, 240.0);
 }
 
 TEST(WorkModel, FastMvmBatchFlopsAreExactlyNTimesSingle) {
-  const perf::WorkCost single = perf::fast_mvm_cost(5, 3);
+  const perf::WorkCost single = perf::fast_mvm_batch_cost(5, 3, 1);
   const perf::WorkCost batch = perf::fast_mvm_batch_cost(5, 3, 7);
   EXPECT_EQ(batch.flops, 7.0 * single.flops);
   // 8 * (2*7*5 + 5*3 + 7*5*3 + 3*3 + 3*7*3) = 8 * (70+15+105+9+63).
@@ -118,7 +119,7 @@ TEST(WorkRegistry, FastMvmBooksExactAnalyticWork) {
     EXPECT_EQ(k.calls, kCalls);
     // Analytic counts accumulate exactly (no float drift at this size).
     EXPECT_EQ(k.flops, static_cast<double>(kCalls) * 44.0);
-    EXPECT_EQ(k.bytes, static_cast<double>(kCalls) * 208.0);
+    EXPECT_EQ(k.bytes, static_cast<double>(kCalls) * 240.0);
     EXPECT_GT(k.timed_ns, 0u);
   }
   EXPECT_TRUE(found);

@@ -5,6 +5,7 @@
 // and thread-determinism contracts double as bit-identity checks.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <limits>
@@ -20,6 +21,7 @@
 #include "resipe/verify/contracts.hpp"
 #include "resipe/verify/fuzzer.hpp"
 #include "resipe/verify/generators.hpp"
+#include "resipe/verify/ode_oracle.hpp"
 #include "resipe/verify/serialize.hpp"
 #include "resipe/verify/shrink.hpp"
 #include "testing/approx.hpp"
@@ -333,6 +335,67 @@ TEST(Fuzzer, ContractFilterRestrictsChecks) {
         run_fuzz(bad);
       }(),
       Error);
+}
+
+// --- the adaptive integrator the ODE contracts trust ------------------
+
+TEST(AdaptiveOde, ExponentialDecay) {
+  const double tau = 2.0;
+  const auto r = integrate_adaptive(
+      [tau](double, double v) { return -v / tau; }, 1.0, 0.0, 3.0 * tau);
+  RESIPE_EXPECT_REL(r.value, std::exp(-3.0), 1e-8);
+  EXPECT_GT(r.steps, 0u);
+  // One step across the whole interval is far off; step control must
+  // reject it and still land on the same answer.
+  AdaptiveOdeOptions opt;
+  opt.initial_step = 3.0 * tau;
+  const auto big = integrate_adaptive(
+      [tau](double, double v) { return -v / tau; }, 1.0, 0.0, 3.0 * tau, opt);
+  EXPECT_GT(big.rejected, 0u);
+  RESIPE_EXPECT_REL(big.value, std::exp(-3.0), 1e-8);
+}
+
+TEST(AdaptiveOde, RcChargeOnNanosecondScale) {
+  // The GD ramp's shape: v_s (1 - exp(-t / tau)), tau = 10 ns.
+  const double v_s = 0.8, tau = 10e-9;
+  const auto r = integrate_adaptive(
+      [=](double, double v) { return (v_s - v) / tau; }, 0.0, 0.0, 50e-9);
+  RESIPE_EXPECT_REL(r.value, v_s * (1.0 - std::exp(-5.0)), 1e-8);
+}
+
+TEST(AdaptiveOde, TimeDependentDrive) {
+  // dv/dt = t - v, v(0) = 1  =>  v(t) = t - 1 + 2 exp(-t).
+  const auto r = integrate_adaptive(
+      [](double t, double v) { return t - v; }, 1.0, 0.0, 4.0);
+  RESIPE_EXPECT_REL(r.value, 3.0 + 2.0 * std::exp(-4.0), 1e-8);
+  // A fifth-order pair needs about 66 steps here; a stage evaluated at
+  // the wrong time drops the order and needs about five times as many.
+  EXPECT_LT(r.steps, 150u);
+  // A zero-length interval returns v0 without taking a step.
+  const auto still = integrate_adaptive(
+      [](double t, double v) { return t - v; }, 0.25, 1.0, 1.0);
+  EXPECT_EQ(still.value, 0.25);
+  EXPECT_EQ(still.steps, 0u);
+}
+
+TEST(AdaptiveOde, InvertedIntervalThrows) {
+  EXPECT_THROW(
+      integrate_adaptive([](double, double v) { return -v; }, 1.0, 1.0, 0.0),
+      Error);
+}
+
+TEST(AdaptiveOde, ExhaustedStepBudgetThrows) {
+  AdaptiveOdeOptions opt;
+  opt.initial_step = 1e-6;
+  opt.max_steps = 3;
+  EXPECT_THROW(integrate_adaptive([](double, double v) { return -v; }, 1.0,
+                                  0.0, 1.0, opt),
+               Error);
+  // The same integration within budget succeeds.
+  opt.max_steps = 200000;
+  const auto r = integrate_adaptive([](double, double v) { return -v; }, 1.0,
+                                    0.0, 1.0, opt);
+  RESIPE_EXPECT_REL(r.value, std::exp(-1.0), 1e-8);
 }
 
 // --- satellite 2: EngineConfig::validate at engine entry points --------
