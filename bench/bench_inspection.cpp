@@ -7,6 +7,7 @@
 // This bench measures both halves of that claim, then times a full
 // inspect() pass and records its headline figures so the perf
 // trajectory covers the probes themselves.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "bench_report.hpp"
+#include "resipe/common/parallel.hpp"
 #include "resipe/introspect/inspect.hpp"
 #include "resipe/nn/train.hpp"
 #include "resipe/nn/zoo.hpp"
@@ -69,22 +71,36 @@ int main(int argc, char** argv) {
   std::printf("bit-identity: max |logit diff| = %.17g\n", max_diff);
   report.add("max_logit_diff_flag_on_vs_off", max_diff);
 
-  // Half 2: overhead.  Both networks run the identical forward path;
-  // alternate the timing order across repetitions so cache warmth
-  // cannot systematically favour either side.
-  const int reps = 5;
-  double t_off = 0.0, t_on = 0.0;
+  // Half 2: overhead.  Both networks run the identical forward path.
+  // One forward is about a millisecond, so a sum over a few runs is
+  // mostly timer and scheduler noise: take the minimum of many
+  // repeats per side instead, alternating the order across repeats so
+  // cache warmth cannot systematically favour either side.  The timing
+  // runs on one thread — the flag's cost is per forward, and worker
+  // wake-ups on a sub-millisecond forward would swamp it.
+  const int reps = 101;
+  set_default_threads(1);
+  double t_off = HUGE_VAL, t_on = HUGE_VAL;
+  const auto time_off = [&] {
+    t_off = std::min(t_off,
+                     seconds_of([&] { (void)net_off.forward(test.images); }));
+  };
+  const auto time_on = [&] {
+    t_on = std::min(t_on,
+                    seconds_of([&] { (void)net_on.forward(test.images); }));
+  };
   for (int r = 0; r < reps; ++r) {
     if (r % 2 == 0) {
-      t_off += seconds_of([&] { (void)net_off.forward(test.images); });
-      t_on += seconds_of([&] { (void)net_on.forward(test.images); });
+      time_off();
+      time_on();
     } else {
-      t_on += seconds_of([&] { (void)net_on.forward(test.images); });
-      t_off += seconds_of([&] { (void)net_off.forward(test.images); });
+      time_on();
+      time_off();
     }
   }
+  set_default_threads(0);
   const double overhead = t_on / t_off - 1.0;
-  std::printf("forward x%d: flag off %.3f s, flag on %.3f s "
+  std::printf("forward, min of %d: flag off %.6f s, flag on %.6f s "
               "(overhead %+.2f%%)\n",
               reps, t_off, t_on, overhead * 100.0);
   report.add("forward_s_flag_off", t_off);
@@ -98,8 +114,7 @@ int main(int argc, char** argv) {
   std::printf("inspect(): %.3f s over %zu images\n", t_inspect,
               insp.batch_size);
   report.add("inspect_s", t_inspect);
-  report.add("inspect_cost_vs_forward",
-             t_inspect / (t_off / static_cast<double>(reps)));
+  report.add("inspect_cost_vs_forward", t_inspect / t_off);
   report.add("analog_accuracy", insp.analog_accuracy);
   report.add("digital_accuracy", insp.digital_accuracy);
   report.add("logits_rmse", insp.logits_rmse);

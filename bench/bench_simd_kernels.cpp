@@ -1,9 +1,10 @@
 // Scalar-vs-SIMD kernel comparison bench.
 //
-// Times the FastMvm batch kernel and the spike-codec batch kernels
-// twice over identical inputs — once on the vector path, once under
-// simd::ForceScalarGuard — and reports achieved GFLOP/s for both plus
-// the speedup ratio.  The *_gflops figures feed the bench_diff
+// Times the FastMvm batch kernel, the spike-codec batch kernels and
+// the column recovery's exp (simd::exp_libm) twice over identical
+// inputs — once on the vector path, once under simd::ForceScalarGuard,
+// where exp_libm is the plain libm loop — and reports achieved GFLOP/s
+// for both plus the speedup ratio.  The *_gflops figures feed the bench_diff
 // regression gate (per-ISA baselines: the report is stamped with
 // simd_isa, so a scalar build starts its own history); the *_speedup
 // ratios are directionless context.
@@ -54,6 +55,9 @@ int main(int argc, char** argv) {
   constexpr std::size_t kCols = 128;
   constexpr std::size_t kBatch = 32;
   constexpr double kBudget = 0.25;  // seconds per timed variant
+  // The exp row's call is ~10 us, so a fifth of the budget still times
+  // thousands of calls and keeps the bench's wall time near its history.
+  constexpr double kExpBudget = kBudget / 5;
 
   Rng rng(0x51D);
   std::vector<double> g(kRows * kCols);
@@ -74,11 +78,23 @@ int main(int argc, char** argv) {
   const double mvm_flops = 2.0 * kBatch * kRows * kCols;
   const double codec_flops = 4.0 * x.size();
 
+  // Recovery exponents -t / tau over the slice, as ProgrammedMatrix::
+  // recover stages them; 20 flops per value on the table path.
+  std::vector<double> exponents(kBatch * kCols);
+  for (double& v : exponents) {
+    v = -rng.uniform(0.0, params.slice_length) / params.tau_gd();
+  }
+  std::vector<double> exps(exponents.size());
+  const double exp_flops = 20.0 * static_cast<double>(exponents.size());
+
   const auto mvm_call = [&] {
     mvm.mvm_times_batch(t_in, kBatch, t_out, scratch);
   };
   const auto encode_call = [&] { codec.encode_times(x, t_in); };
   const auto decode_call = [&] { codec.decode_values(t_in, x); };
+  const auto exp_call = [&] {
+    simd::exp_libm(exponents.data(), exps.data(), exps.size());
+  };
 
   struct Row {
     const char* key;
@@ -92,16 +108,21 @@ int main(int argc, char** argv) {
        0.0},
       {"codec_decode", codec_flops, time_per_call(kBudget, decode_call),
        0.0},
+      {"exp_libm", exp_flops, time_per_call(kExpBudget, exp_call), 0.0},
   };
   {
     simd::ForceScalarGuard guard;
     rows[0].scalar_s = time_per_call(kBudget, mvm_call);
     rows[1].scalar_s = time_per_call(kBudget, encode_call);
     rows[2].scalar_s = time_per_call(kBudget, decode_call);
+    rows[3].scalar_s = time_per_call(kExpBudget, exp_call);  // libm loop
   }
 
-  std::printf("simd kernel comparison (isa %s, march %s)\n",
-              simd::active_isa(), simd::march_flags());
+  std::printf("simd kernel comparison (isa %s, march %s; exp_libm %s, "
+              "its scalar column is the libm loop)\n",
+              simd::active_isa(), simd::march_flags(),
+              simd::detail::exp_libm_vectorized() ? "vectorized"
+                                                  : "libm loop");
   std::printf("%-16s %12s %12s %8s\n", "kernel", "simd GFLOP/s",
               "scalar GF/s", "speedup");
   for (const Row& row : rows) {

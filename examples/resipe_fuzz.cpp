@@ -12,6 +12,7 @@
 //   resipe_fuzz --emit-repro out/                # write repro JSON
 //   resipe_fuzz --replay tests/corpus/x.json     # re-check a record
 //   resipe_fuzz --inject-bug fastmvm-row-drop    # harness self-test
+//   resipe_fuzz --inject-bug exp-libm-ulp --contract exp_libm_identity
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,7 +44,8 @@ void usage(const char* argv0) {
       "  --replay FILE        re-check one repro/corpus JSON record\n"
       "  --emit-corpus DIR    write generated cases as corpus records\n"
       "  --snippet FILE       print the C++ snippet for a record\n"
-      "  --inject-bug NAME    arm a deliberate bug (fastmvm-row-drop)\n"
+      "  --inject-bug NAME    arm a deliberate bug (fastmvm-row-drop,\n"
+      "                       exp-libm-ulp)\n"
       "  --list-contracts     print the contract registry\n",
       argv0);
 }
@@ -143,6 +145,9 @@ int main(int argc, char** argv) {
       if (bug == "fastmvm-row-drop") {
         resipe::verify::set_injected_bug(
             resipe::verify::InjectedBug::kFastMvmRowDrop);
+      } else if (bug == "exp-libm-ulp") {
+        resipe::verify::set_injected_bug(
+            resipe::verify::InjectedBug::kExpLibmUlp);
       } else {
         std::fprintf(stderr, "unknown bug '%s'\n", bug.c_str());
         return 2;

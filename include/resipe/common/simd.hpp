@@ -27,6 +27,13 @@
 //    bound holds for every backend.  The `simd_equivalence` oracle
 //    contract (src/verify/contracts.cpp) budgets this bound when it
 //    compares the SIMD kernels against the scalar reference path.
+//  * exp_libm() is different: an array exp that is bit-exact to glibc's
+//    std::exp.  On AVX-512 and AVX2 it runs a vector port of glibc's
+//    table-driven exp (src/common/simd_exp.cpp), but only once a
+//    one-time start-up self-check has matched std::exp bitwise on a
+//    fixed input set; otherwise, and on the NEON and scalar backends or
+//    under RESIPE_SIMD=scalar, it is the plain libm loop.  Kernels whose
+//    results must not move (the column recovery) use this one.
 //
 // Runtime control: `RESIPE_SIMD=scalar` in the environment (or
 // set_force_scalar(true)) makes the kernels dispatch to their scalar
@@ -43,6 +50,7 @@
 #include <cstring>
 #include <limits>
 #include <new>
+#include <vector>
 
 #if defined(RESIPE_SIMD_FORCE_SCALAR)
 // Explicit scalar build: never touch vector intrinsics.
@@ -205,6 +213,19 @@ inline T reduce_add(const simd<T, N>& v) {
   }
 }
 
+/// out[i] = reduce_add(a_i) for four vectors, bitwise: the backends
+/// may fold the four trees side by side, but every addition pairs the
+/// same lanes reduce_add pairs.
+template <typename T, std::size_t N>
+inline void reduce_add4(const simd<T, N>& a0, const simd<T, N>& a1,
+                        const simd<T, N>& a2, const simd<T, N>& a3,
+                        T* out0, T* out1, T* out2, T* out3) {
+  *out0 = reduce_add(a0);
+  *out1 = reduce_add(a1);
+  *out2 = reduce_add(a2);
+  *out3 = reduce_add(a3);
+}
+
 template <typename T, std::size_t N>
 inline std::size_t mask_count(const basic_mask<T, N>& m) {
   std::size_t n = 0;
@@ -354,6 +375,31 @@ inline double reduce_add(const simd<double, 8>& x) {
                                      _mm256_extractf128_pd(half, 1));
   return _mm_cvtsd_f64(quarter) +
          _mm_cvtsd_f64(_mm_unpackhi_pd(quarter, quarter));
+}
+inline void reduce_add4(const simd<double, 8>& a0, const simd<double, 8>& a1,
+                        const simd<double, 8>& a2, const simd<double, 8>& a3,
+                        double* out0, double* out1, double* out2,
+                        double* out3) {
+  // Halves side by side: [lo a0 | lo a1] + [hi a0 | hi a1], and a2/a3.
+  const __m512d h01 =
+      _mm512_add_pd(_mm512_shuffle_f64x2(a0.v, a1.v, _MM_SHUFFLE(1, 0, 1, 0)),
+                    _mm512_shuffle_f64x2(a0.v, a1.v, _MM_SHUFFLE(3, 2, 3, 2)));
+  const __m512d h23 =
+      _mm512_add_pd(_mm512_shuffle_f64x2(a2.v, a3.v, _MM_SHUFFLE(1, 0, 1, 0)),
+                    _mm512_shuffle_f64x2(a2.v, a3.v, _MM_SHUFFLE(3, 2, 3, 2)));
+  // Quarters: the low 128 bits of each half plus its high 128 bits.
+  const __m512d q = _mm512_add_pd(
+      _mm512_shuffle_f64x2(h01, h23, _MM_SHUFFLE(2, 0, 2, 0)),
+      _mm512_shuffle_f64x2(h01, h23, _MM_SHUFFLE(3, 1, 3, 1)));
+  // Last step, lane 0 + lane 1 of each quarter: sums in lanes 0/2/4/6.
+  const __m512d sum =
+      _mm512_add_pd(_mm512_unpacklo_pd(q, q), _mm512_unpackhi_pd(q, q));
+  const __m256d lo = _mm512_castpd512_pd256(sum);
+  const __m256d hi = _mm512_extractf64x4_pd(sum, 1);
+  *out0 = _mm256_cvtsd_f64(lo);
+  *out1 = _mm_cvtsd_f64(_mm256_extractf128_pd(lo, 1));
+  *out2 = _mm256_cvtsd_f64(hi);
+  *out3 = _mm_cvtsd_f64(_mm256_extractf128_pd(hi, 1));
 }
 inline std::size_t mask_count(simd<double, 8>::mask m) {
   return static_cast<std::size_t>(__builtin_popcount(m));
@@ -839,6 +885,29 @@ inline const char* march_flags() {
   return "(toolchain default)";
 #endif
 }
+
+// --- bit-exact array exp -----------------------------------------------
+
+/// out[i] = std::exp(in[i]) for i < n, bit for bit; `in` may equal
+/// `out`.  Vectorized where the start-up self-check passed (see the
+/// header comment), the libm loop everywhere else.
+void exp_libm(const double* in, double* out, std::size_t n);
+
+namespace detail {
+/// The fixed inputs of the start-up self-check: IEEE edges, the
+/// boundaries of the table path, inputs where an unfused evaluation
+/// differs from glibc, and a seeded sweep.
+const std::vector<double>& exp_libm_check_inputs();
+/// Runs the vector kernel on exp_libm_check_inputs() and compares each
+/// result bitwise with `reference`; false on any difference, and always
+/// false on a backend without the vector kernel.
+bool exp_libm_self_check(double (*reference)(double));
+/// True when exp_libm runs the vector kernel right now.
+bool exp_libm_vectorized();
+/// Test-only seam: while on, the gate behaves as if the start-up
+/// self-check had failed, so exp_libm runs the libm loop.
+void force_exp_libm_self_check_failure(bool on);
+}  // namespace detail
 
 // --- aligned storage ---------------------------------------------------
 

@@ -48,15 +48,6 @@ class Crossbar {
   /// their rail and later programming cannot move them.
   void inject_faults(const reliability::FaultMap& map);
 
-  /// Cells carrying an injected/worn-out permanent fault.
-  std::size_t hard_fault_count() const;
-  bool cell_hard_faulted(std::size_t row, std::size_t col) const;
-
-  /// Per-column health: true when the column has no hard-faulted cell
-  /// — the graceful-degradation flag consumers check before trusting a
-  /// column's MVM result.
-  std::vector<bool> healthy_columns() const;
-
   /// Programmed (static) conductance of a cell.
   double g(std::size_t row, std::size_t col) const;
 

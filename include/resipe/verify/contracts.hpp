@@ -57,16 +57,21 @@ const Contract* find_contract(const std::string& name);
 //
 // The harness's own acceptance test: an injected, realistic bug (the
 // classic off-by-one dropping the last row from the FastMvm current
-// sum) must be caught by the differential contracts and shrunk to a
-// tiny reproducer.  The injection lives inside the *contract's* model
-// construction — production code is never patched — and is off unless
-// explicitly armed (resipe_fuzz --inject-bug / the self-test).
+// sum, or a recovery exp one ulp off) must be caught by the contracts
+// and shrunk to a tiny reproducer.  The injection lives inside the
+// *contract's* model construction or its copy of the output —
+// production code is never patched — and is off unless explicitly
+// armed (resipe_fuzz --inject-bug / the self-test).
 
 enum class InjectedBug {
   kNone = 0,
   /// fast_vs_tile builds its FastMvm with the last conductance row
   /// zeroed, emulating `for (r = 0; r < rows - 1; ...)` in the row sum.
   kFastMvmRowDrop,
+  /// exp_libm_identity nudges one lane of its copy of the exp_libm
+  /// output up by one ulp, the smallest error a non-bit-exact recovery
+  /// exp could make.
+  kExpLibmUlp,
 };
 
 /// Arms/disarms the injected bug (process-global; not thread-safe

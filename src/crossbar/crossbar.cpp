@@ -79,28 +79,6 @@ void Crossbar::inject_faults(const reliability::FaultMap& map) {
   RESIPE_TELEM_COUNT("reliability.cells_faulty", injected);
 }
 
-std::size_t Crossbar::hard_fault_count() const {
-  std::size_t n = 0;
-  for (const auto& c : cells_) {
-    if (c.hard_faulted()) ++n;
-  }
-  return n;
-}
-
-bool Crossbar::cell_hard_faulted(std::size_t row, std::size_t col) const {
-  return cell(row, col).hard_faulted();
-}
-
-std::vector<bool> Crossbar::healthy_columns() const {
-  std::vector<bool> ok(cols_, true);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      if (cells_[r * cols_ + c].hard_faulted()) ok[c] = false;
-    }
-  }
-  return ok;
-}
-
 double Crossbar::g(std::size_t row, std::size_t col) const {
   return cell(row, col).programmed_g();
 }

@@ -266,12 +266,12 @@ void FastMvm::column_stage_simd(std::size_t n, std::span<double> t_out,
       const std::size_t ns = std::min(kSampleGroup, n - s0);
       const double* vw0 = scratch.v_wl.data() + (s0 + 0) * rows_pad_;
 
-      for (std::size_t c = c0; c < c_end; ++c) {
-        const double* gc = g_cm_.data() + c * rows_pad_;
-        if (ns == kSampleGroup) {
-          const double* vw1 = vw0 + rows_pad_;
-          const double* vw2 = vw1 + rows_pad_;
-          const double* vw3 = vw2 + rows_pad_;
+      if (ns == kSampleGroup) {
+        const double* vw1 = vw0 + rows_pad_;
+        const double* vw2 = vw1 + rows_pad_;
+        const double* vw3 = vw2 + rows_pad_;
+        for (std::size_t c = c0; c < c_end; ++c) {
+          const double* gc = g_cm_.data() + c * rows_pad_;
           vdouble a0(0.0), a1(0.0), a2(0.0), a3(0.0);
           for (std::size_t r = 0; r < rows_pad_; r += kW) {
             simd::prefetch(gc + r + kPrefetchAhead);
@@ -281,16 +281,42 @@ void FastMvm::column_stage_simd(std::size_t n, std::span<double> t_out,
             a2 = simd::fma(vdouble::load(vw2 + r), g, a2);
             a3 = simd::fma(vdouble::load(vw3 + r), g, a3);
           }
-          scratch.weighted[0 * cols_pad_ + c] = simd::reduce_add(a0);
-          scratch.weighted[1 * cols_pad_ + c] = simd::reduce_add(a1);
-          scratch.weighted[2 * cols_pad_ + c] = simd::reduce_add(a2);
-          scratch.weighted[3 * cols_pad_ + c] = simd::reduce_add(a3);
-        } else {
+          double* w = scratch.weighted.data() + c;
+          simd::reduce_add4(a0, a1, a2, a3, w, w + cols_pad_,
+                            w + 2 * cols_pad_, w + 3 * cols_pad_);
+        }
+      } else {
+        // Fewer than four samples (n < 4, or the n % 4 tail): four
+        // columns per pass share each wordline load instead.  Every
+        // column keeps its own ascending FMA chain and pairwise reduce
+        // (reduce_add4 makes reduce_add's additions), so each sum is
+        // bitwise the one-column chain's.
+        std::size_t c = c0;
+        for (; c + 4 <= c_end; c += 4) {
+          const double* g0 = g_cm_.data() + c * rows_pad_;
+          const double* g1 = g0 + rows_pad_;
+          const double* g2 = g1 + rows_pad_;
+          const double* g3 = g2 + rows_pad_;
+          for (std::size_t j = 0; j < ns; ++j) {
+            const double* vwj = vw0 + j * rows_pad_;
+            vdouble a0(0.0), a1(0.0), a2(0.0), a3(0.0);
+            for (std::size_t r = 0; r < rows_pad_; r += kW) {
+              const vdouble v = vdouble::load(vwj + r);
+              a0 = simd::fma(v, vdouble::load(g0 + r), a0);
+              a1 = simd::fma(v, vdouble::load(g1 + r), a1);
+              a2 = simd::fma(v, vdouble::load(g2 + r), a2);
+              a3 = simd::fma(v, vdouble::load(g3 + r), a3);
+            }
+            double* wj = scratch.weighted.data() + j * cols_pad_ + c;
+            simd::reduce_add4(a0, a1, a2, a3, wj, wj + 1, wj + 2, wj + 3);
+          }
+        }
+        for (; c < c_end; ++c) {
+          const double* gc = g_cm_.data() + c * rows_pad_;
           for (std::size_t j = 0; j < ns; ++j) {
             const double* vwj = vw0 + j * rows_pad_;
             vdouble acc(0.0);
             for (std::size_t r = 0; r < rows_pad_; r += kW) {
-              simd::prefetch(gc + r + kPrefetchAhead);
               acc = simd::fma(vdouble::load(vwj + r), vdouble::load(gc + r),
                               acc);
             }

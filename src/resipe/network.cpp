@@ -450,8 +450,8 @@ void ProgrammedMatrix::recover(const Block& block, std::size_t n,
                                ProbeStats* probe) const {
   // One lane-wise pass over the block's [n, cols] outputs computing
   // ramp_voltage(t) * g_total / k.  Every vector op is IEEE-exact per
-  // lane and exp runs through libm once per lane, so each sum is
-  // bitwise what the scalar expression gives on any backend.
+  // lane and exp goes through simd::exp_libm, bit-exact to libm's, so
+  // each sum is bitwise what the scalar expression gives on any backend.
   using simd::vdouble;
   constexpr std::size_t kW = simd::native_lanes;
   const auto& params = config_.circuit;
@@ -493,15 +493,13 @@ void ProgrammedMatrix::recover(const Block& block, std::size_t n,
   const vdouble no_spike(FastMvm::kNoSpike);
   // A silent output line encodes "beyond full scale": the readout
   // books the slice-boundary value.  The exact model stages -t / tau
-  // for libm's exp.
+  // for the exp.
   for (std::size_t i = 0; i < lane_count; i += kW) {
     vdouble t = vdouble::load(times + i);
     t = simd::select(t >= no_spike, slice, t);
     (linear ? t : (zero - t) / tau).store(times + i);
   }
-  if (!linear) {
-    for (std::size_t i = 0; i < lane_count; ++i) times[i] = std::exp(times[i]);
-  }
+  if (!linear) simd::exp_libm(times, times, lane_count);
   for (std::size_t s = 0; s < n; ++s) {
     double* lane = times + s * cols_pad;
     for (std::size_t c = 0; c < cols_pad; c += kW) {

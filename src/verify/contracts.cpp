@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "resipe/circuits/transient.hpp"
@@ -54,6 +55,7 @@ enum Stream : std::uint64_t {
   kStreamSimdEquiv = 0xC00F,
   kStreamServingTrace = 0xC010,
   kStreamSparseDense = 0xC011,
+  kStreamExpLibm = 0xC012,
 };
 
 InjectedBug g_injected_bug = InjectedBug::kNone;
@@ -1009,6 +1011,55 @@ ContractResult check_sparse_dense_identity(const CaseSpec& spec) {
   return ContractResult::ok();
 }
 
+// The column recovery's exp (simd::exp_libm, a vector port of glibc's
+// exp behind a start-up self-check) against std::exp, bit for bit, on
+// the exponents this case's recovery stages — -t / tau for spike times
+// across the slice, the slice end a silent line books, t = 0 — plus
+// the self-check's fixed edge set.  Run in place, as the recovery
+// calls it, and out of place.
+ContractResult check_exp_libm_identity(const CaseSpec& spec) {
+  Rng rng(hash_seed(spec.descriptor.seed, kStreamExpLibm));
+  const auto& params = spec.config.circuit;
+  const double tau = params.tau_gd();
+  std::vector<double> in = {(0.0 - 0.0) / tau,
+                            (0.0 - params.slice_length) / tau};
+  for (int i = 0; i < 509; ++i) {
+    in.push_back((0.0 - rng.uniform(0.0, params.slice_length)) / tau);
+  }
+  const std::vector<double>& edges = simd::detail::exp_libm_check_inputs();
+  for (int i = 0; i < 64; ++i) {
+    in.push_back(edges[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(edges.size()) - 1))]);
+  }
+
+  std::vector<double> in_place = in;
+  simd::exp_libm(in_place.data(), in_place.data(), in_place.size());
+  std::vector<double> out(in.size());
+  simd::exp_libm(in.data(), out.data(), out.size());
+  if (g_injected_bug == InjectedBug::kExpLibmUlp) {
+    const auto lane = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(out.size()) - 1));
+    out[lane] = std::nextafter(out[lane], std::numeric_limits<double>::infinity());
+  }
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const double want = std::exp(in[i]);
+    if (std::memcmp(&out[i], &want, sizeof want) != 0) {
+      std::ostringstream os;
+      os << "exp_libm(" << std::hexfloat << in[i] << ") = " << out[i]
+         << ", std::exp = " << want
+         << (simd::detail::exp_libm_vectorized() ? " (vector path)"
+                                                  : " (libm loop)");
+      return ContractResult::fail(os.str());
+    }
+    if (std::memcmp(&in_place[i], &out[i], sizeof want) != 0) {
+      return ContractResult::fail(
+          fail_at("exp_libm in place vs out of place", i, in_place[i],
+                  out[i]));
+    }
+  }
+  return ContractResult::ok();
+}
+
 }  // namespace
 
 void set_injected_bug(InjectedBug bug) { g_injected_bug = bug; }
@@ -1075,6 +1126,10 @@ const std::vector<Contract>& contract_registry() {
        "event-driven execution is bit-identical to the dense reference "
        "on every logit, at any thread count",
        check_sparse_dense_identity},
+      {"exp_libm_identity",
+       "the recovery exp (simd::exp_libm) equals std::exp bit for bit on "
+       "recovery exponents and edge inputs, in place and out of place",
+       check_exp_libm_identity},
   };
   return registry;
 }

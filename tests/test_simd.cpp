@@ -10,6 +10,7 @@
 #include <limits>
 #include <optional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "resipe/common/error.hpp"
@@ -131,6 +132,30 @@ TEST(SimdOps, ReduceAddUsesPairwiseTreeOrder) {
     for (std::size_t i = 0; i < half; ++i) tree[i] += tree[i + half];
   }
   EXPECT_EQ(simd::reduce_add(vdouble::load(raw.data())), tree[0]);
+}
+
+TEST(SimdOps, ReduceAdd4IsFourReduceAddsBitwise) {
+  Rng rng(212);
+  alignas(simd::kAlignment) std::array<double, 4 * kW> raw;
+  for (int trial = 0; trial < 1000; ++trial) {
+    // Mixed magnitudes and signs, so any re-pairing would round
+    // differently.
+    for (double& v : raw) {
+      v = rng.uniform(-1.0, 1.0) * std::pow(2.0, rng.uniform(-30.0, 30.0));
+    }
+    vdouble a[4];
+    for (std::size_t i = 0; i < 4; ++i) {
+      a[i] = vdouble::load(raw.data() + i * kW);
+    }
+    double got[4];
+    simd::reduce_add4(a[0], a[1], a[2], a[3], &got[0], &got[1], &got[2],
+                      &got[3]);
+    for (std::size_t i = 0; i < 4; ++i) {
+      const double want = simd::reduce_add(a[i]);
+      EXPECT_EQ(std::memcmp(&got[i], &want, sizeof want), 0)
+          << "vector " << i << ": " << got[i] << " vs " << want;
+    }
+  }
 }
 
 TEST(SimdOps, PadToLanesRoundsUp) {
@@ -286,6 +311,247 @@ TEST(SimdRuntime, ForceScalarGuardDisablesVectorPath) {
   EXPECT_STREQ(simd::compiled_isa(),
                simd::enabled() ? simd::active_isa() : simd::compiled_isa());
   EXPECT_NE(simd::march_flags(), nullptr);
+}
+
+// ---------------------------------------------------------------------
+// exp_libm: bit-equal to std::exp on every backend, whichever path runs.
+// ---------------------------------------------------------------------
+
+std::uint64_t bits_of(double x) {
+  std::uint64_t u;
+  std::memcpy(&u, &x, sizeof u);
+  return u;
+}
+
+double std_exp(double x) { return std::exp(x); }
+
+// Index of the first input whose exp_libm result differs bitwise from
+// std::exp, or n when all match.
+std::size_t first_mismatch(const double* in, const double* out,
+                           std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (bits_of(out[i]) != bits_of(std::exp(in[i]))) return i;
+  }
+  return n;
+}
+
+// The inputs of the issue's edge list, plus neighbours of the table-path
+// boundaries; every class of fallback lane appears.
+std::vector<double> exp_edge_inputs() {
+  const double qnan = std::numeric_limits<double>::quiet_NaN();
+  const double tiny = 0x1p-54;
+  std::vector<double> v = {0.0,  -0.0,  tiny, -tiny, 511.99, -511.99,
+                           512.0, -512.0, 708.0, -708.0, 745.0, -745.0,
+                           kInf, -kInf, qnan, -qnan,
+                           // subnormal results
+                           -709.0, -720.0, -740.0, -744.4, -745.1};
+  for (const double edge : {tiny, 512.0}) {
+    for (const double sign : {1.0, -1.0}) {
+      double x = sign * edge;
+      for (int k = 0; k < 3; ++k) x = std::nextafter(x, 0.0);
+      for (int k = 0; k < 7; ++k) {
+        v.push_back(x);
+        x = std::nextafter(x, sign * kInf);
+      }
+    }
+  }
+  return v;
+}
+
+TEST(ExpLibm, BitEqualsStdExpOnAHundredMillionRandomInputs) {
+  // The four ranges: the whole table path, the recovery range, and two
+  // narrow ranges near 0 where exp(r) carries most of the result.
+  const double ranges[][2] = {{-500.0, 500.0}, {-20.0, 0.0}, {-1.0, 0.0},
+                              {-1e-3, 0.0}};
+  constexpr std::size_t kPerRange = 25'000'000;
+  constexpr std::size_t kChunk = 1 << 16;
+  std::vector<double> in(kChunk);
+  std::vector<double> out(kChunk);
+  Rng rng(0x5EED);
+  std::size_t checked = 0;
+  for (const auto& range : ranges) {
+    for (std::size_t done = 0; done < kPerRange; done += kChunk) {
+      const std::size_t n = std::min(kChunk, kPerRange - done);
+      for (std::size_t i = 0; i < n; ++i) {
+        in[i] = rng.uniform(range[0], range[1]);
+      }
+      simd::exp_libm(in.data(), out.data(), n);
+      const std::size_t bad = first_mismatch(in.data(), out.data(), n);
+      ASSERT_EQ(bad, n) << "x = " << std::hexfloat << in[bad] << " got "
+                        << out[bad] << " want " << std::exp(in[bad]);
+      checked += n;
+    }
+  }
+  EXPECT_GE(checked, std::size_t{100'000'000});
+}
+
+TEST(ExpLibm, EdgeInputsBitEqualStdExp) {
+  for (const std::vector<double>& in :
+       {exp_edge_inputs(), simd::detail::exp_libm_check_inputs()}) {
+    std::vector<double> out(in.size());
+    simd::exp_libm(in.data(), out.data(), in.size());
+    const std::size_t bad = first_mismatch(in.data(), out.data(), in.size());
+    EXPECT_EQ(bad, in.size()) << "x = " << std::hexfloat << in[bad];
+    // One lane at a time too: each edge alone in the tail block.
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      double y = 0.0;
+      simd::exp_libm(&in[i], &y, 1);
+      EXPECT_EQ(bits_of(y), bits_of(std::exp(in[i])))
+          << "x = " << std::hexfloat << in[i];
+    }
+  }
+}
+
+TEST(ExpLibm, InPlaceWithFallbackLanesMatchesOutOfPlace) {
+  // Fallback lanes (tiny, huge, non-finite) interleaved with table-path
+  // lanes: the libm redo must read the saved inputs, not the output.
+  const std::vector<double> edges = exp_edge_inputs();
+  Rng rng(77);
+  std::vector<double> in;
+  for (std::size_t i = 0; i < 1000; ++i) {
+    in.push_back(rng.uniform(0.0, 1.0) < 0.3
+                     ? edges[static_cast<std::size_t>(rng.uniform_int(
+                           0, static_cast<std::int64_t>(edges.size()) - 1))]
+                     : rng.uniform(-30.0, 0.0));
+  }
+  std::vector<double> out_of_place(in.size());
+  simd::exp_libm(in.data(), out_of_place.data(), in.size());
+  std::vector<double> in_place = in;
+  simd::exp_libm(in_place.data(), in_place.data(), in_place.size());
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    EXPECT_EQ(bits_of(in_place[i]), bits_of(out_of_place[i]))
+        << "x = " << std::hexfloat << in[i];
+    EXPECT_EQ(bits_of(in_place[i]), bits_of(std::exp(in[i])))
+        << "x = " << std::hexfloat << in[i];
+  }
+}
+
+TEST(ExpLibm, TailLengthsWriteExactlyNOutputs) {
+  const std::vector<double> edges = exp_edge_inputs();
+  constexpr double kSentinel = -12345.0;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                              std::size_t{9}, kW - 1, kW + 1, 2 * kW + 3}) {
+    std::vector<double> in(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      // Alternate table-path and fallback lanes.
+      in[i] = (i % 2 == 0) ? -0.37 * static_cast<double>(i + 1)
+                           : edges[i % edges.size()];
+    }
+    std::vector<double> out(n + 4, kSentinel);
+    simd::exp_libm(in.data(), out.data(), n);
+    EXPECT_EQ(first_mismatch(in.data(), out.data(), n), n) << "n = " << n;
+    for (std::size_t i = n; i < n + 4; ++i) {
+      EXPECT_EQ(out[i], kSentinel) << "n = " << n << " wrote past the end";
+    }
+  }
+  simd::exp_libm(nullptr, nullptr, 0);  // n = 0 touches nothing
+}
+
+// glibc's algorithm, written scalar, with its FMAs fused or not.  The
+// self-check must accept the fused port and reject the unfused one.
+double glibc_exp_port(double x, bool fused) {
+  static constexpr std::uint64_t kTable[256] = {
+#include "../src/common/exp_table.inc"
+  };
+  const auto madd = [fused](double a, double b, double c) {
+    return fused ? std::fma(a, b, c) : a * b + c;
+  };
+  const auto from_bits = [](std::uint64_t u) {
+    double d;
+    std::memcpy(&d, &u, sizeof d);
+    return d;
+  };
+  if (std::fabs(x) < 0x1p-54 || !(std::fabs(x) < 512.0)) return std::exp(x);
+  double kd = madd(0x1.71547652b82fep0 * 128, x, 0x1.8p52);
+  const std::uint64_t ki = bits_of(kd);
+  kd -= 0x1.8p52;
+  const double r = madd(kd, -0x1.cf79abc9e3b3ap-47,
+                        madd(kd, -0x1.62e42fefa0000p-8, x));
+  const std::size_t idx = 2 * (ki % 128);
+  const double tail = from_bits(kTable[idx]);
+  const double scale = from_bits(kTable[idx + 1] + (ki << 45));
+  const double r2 = r * r;
+  const double tmp = madd(
+      r2 * r2, madd(r, 0x1.1111167a4d017p-7, 0x1.55555cf172b91p-5),
+      madd(r2, madd(r, 0x1.555555555543cp-3, 0x1.ffffffffffdbdp-2),
+           tail + r));
+  return madd(scale, tmp, scale);
+}
+
+double glibc_exp_fused(double x) { return glibc_exp_port(x, true); }
+double glibc_exp_unfused(double x) { return glibc_exp_port(x, false); }
+double exp_one_ulp_high(double x) {
+  return x == -1.0 ? std::nextafter(std::exp(x), kInf) : std::exp(x);
+}
+
+TEST(ExpLibm, SelfCheckAcceptsGlibcAndRejectsOtherLibms) {
+  const std::string_view isa = simd::compiled_isa();
+  const bool vector_backend = isa == "avx512" || isa == "avx2";
+  if (!vector_backend) {
+    // No vector kernel: the check has nothing to accept.
+    EXPECT_FALSE(simd::detail::exp_libm_self_check(std_exp));
+    EXPECT_FALSE(simd::detail::exp_libm_vectorized());
+    return;
+  }
+  // The committed table and constants are glibc's: the fused scalar
+  // port reproduces std::exp on every check input.
+  for (const double x : simd::detail::exp_libm_check_inputs()) {
+    ASSERT_EQ(bits_of(glibc_exp_fused(x)), bits_of(std::exp(x)))
+        << "x = " << std::hexfloat << x;
+  }
+  EXPECT_TRUE(simd::detail::exp_libm_self_check(std_exp));
+  EXPECT_TRUE(simd::detail::exp_libm_self_check(glibc_exp_fused));
+  // A libm evaluating the same polynomial without FMA, or one that is
+  // one ulp off on a single input, fails the check.
+  EXPECT_FALSE(simd::detail::exp_libm_self_check(glibc_exp_unfused));
+  EXPECT_FALSE(simd::detail::exp_libm_self_check(exp_one_ulp_high));
+  EXPECT_EQ(simd::detail::exp_libm_vectorized(), simd::enabled());
+}
+
+TEST(ExpLibm, ForcedSelfCheckFailureFallsBackToTheLibmLoop) {
+  struct Seam {
+    Seam() { simd::detail::force_exp_libm_self_check_failure(true); }
+    ~Seam() { simd::detail::force_exp_libm_self_check_failure(false); }
+  };
+  Rng rng(91);
+  std::vector<double> in(4099);
+  for (double& x : in) x = rng.uniform(-25.0, 0.0);
+  std::vector<double> vec_out(in.size());
+  simd::exp_libm(in.data(), vec_out.data(), in.size());
+  std::vector<double> loop_out(in.size());
+  {
+    const Seam seam;
+    EXPECT_FALSE(simd::detail::exp_libm_vectorized());
+    simd::exp_libm(in.data(), loop_out.data(), in.size());
+  }
+  EXPECT_EQ(first_mismatch(in.data(), loop_out.data(), in.size()), in.size());
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    EXPECT_EQ(bits_of(loop_out[i]), bits_of(vec_out[i]));
+  }
+  {
+    simd::ForceScalarGuard guard;
+    EXPECT_FALSE(simd::detail::exp_libm_vectorized());
+  }
+}
+
+TEST(ExpLibm, RecoveryLogitsIdenticalWithTheGateForcedShut) {
+  // The column recovery is exp_libm's one production caller: a lowered
+  // network's logits must not move when the gate falls back to libm.
+  Rng model_rng(0xBEEF);
+  nn::Sequential model = nn::build_benchmark(nn::BenchmarkNet::kMlp1,
+                                             model_rng);
+  Rng data_rng(12);
+  const nn::Dataset batch = nn::synthetic_digits(9, data_rng);
+  const resipe_core::ResipeNetwork net(model, resipe_core::EngineConfig{},
+                                       batch.images);
+  const nn::Tensor vec = net.forward(batch.images);
+  simd::detail::force_exp_libm_self_check_failure(true);
+  const nn::Tensor loop = net.forward(batch.images);
+  simd::detail::force_exp_libm_self_check_failure(false);
+  ASSERT_EQ(vec.data().size(), loop.data().size());
+  EXPECT_EQ(std::memcmp(vec.data().data(), loop.data().data(),
+                        vec.data().size() * sizeof(double)),
+            0);
 }
 
 // ---------------------------------------------------------------------

@@ -137,6 +137,20 @@ TEST(InjectedBug, RowDropIsCaughtAndShrunkToTiny) {
   EXPECT_FALSE(contract->check(shrunk.spec).violated());
 }
 
+TEST(InjectedBug, ExpLibmUlpIsCaughtOnEveryCase) {
+  const Contract* contract = find_contract("exp_libm_identity");
+  ASSERT_NE(contract, nullptr);
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const CaseSpec spec = case_for_seed(seed);
+    EXPECT_FALSE(contract->check(spec).violated()) << spec.summary();
+    const BugGuard guard(InjectedBug::kExpLibmUlp);
+    const ContractResult r = contract->check(spec);
+    EXPECT_TRUE(r.violated()) << "1-ulp exp error survived "
+                              << spec.summary();
+    EXPECT_NE(r.detail.find("std::exp"), std::string::npos) << r.detail;
+  }
+}
+
 TEST(Shrinker, RejectsPassingCase) {
   const Contract* contract = find_contract("fast_vs_tile");
   ASSERT_NE(contract, nullptr);

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Unit tests for collect_bench.py and bench_diff.py (run in CI).
+"""Unit tests for the tools/ scripts (run in CI).
 
     python3 tools/test_tools.py -v
 """
@@ -8,6 +8,7 @@ import copy
 import io
 import json
 import os
+import struct
 import sys
 import tempfile
 import unittest
@@ -17,6 +18,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import bench_diff
 import check_coverage
 import collect_bench
+import gen_exp_table
 import trace_check
 
 
@@ -443,6 +445,40 @@ class CheckCoverageTest(unittest.TestCase):
         path = self.info_file("SF:a.cpp\nDA:not_a_line\nend_of_record\n")
         self.assertEqual(check_coverage.main(
             [path, "--path", "a.cpp", "--min-line", "1"]), 2)
+
+
+class GenExpTableTest(unittest.TestCase):
+    COMMITTED = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             "..", "src", "common", "exp_table.inc")
+
+    def test_committed_table_is_the_generated_one(self):
+        with open(self.COMMITTED, encoding="utf-8") as fh:
+            committed = fh.read()
+        self.assertEqual(gen_exp_table.render(), committed,
+                         "src/common/exp_table.inc differs from "
+                         "tools/gen_exp_table.py; regenerate it")
+
+    def test_entries_reassemble_two_to_the_k_over_n(self):
+        words = gen_exp_table.table()
+        self.assertEqual(len(words), 256)
+        # k = 0 is exactly (tail 0, scale 1.0); every scale word, with
+        # k << 45 added back, is a double in [1, 2) near 2^(k/128).
+        self.assertEqual(words[:2], [0, 0x3FF0000000000000])
+        for k in range(128):
+            bits = (words[2 * k + 1] + (k << 45)) % (1 << 64)
+            scale = struct.unpack("<d", struct.pack("<Q", bits))[0]
+            tail = struct.unpack("<d", struct.pack("<Q", words[2 * k]))[0]
+            self.assertTrue(1.0 <= scale < 2.0, k)
+            self.assertAlmostEqual(scale * (1.0 + tail), 2.0 ** (k / 128),
+                                   places=15)
+            self.assertLess(abs(tail), 2.0 ** -53)
+
+    def test_out_flag_writes_the_file(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "t.inc")
+            self.assertEqual(gen_exp_table.main(["-o", out]), 0)
+            with open(out, encoding="utf-8") as fh:
+                self.assertEqual(fh.read(), gen_exp_table.render())
 
 
 if __name__ == "__main__":
